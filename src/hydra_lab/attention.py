@@ -10,7 +10,7 @@ receiving gradient through the attention weights it induces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,8 +117,7 @@ def _prefix_topk(sal_row: np.ndarray, hi: int, K: int) -> np.ndarray:
 
 
 def sga_forward(h, params: SgaLayerParams, globals_: GlobalTokenSet | np.ndarray | str,
-                causal: bool = True, saliency_bias: Tensor | None = None,
-                block_size: int = 256, saliency: np.ndarray | None = None,
+                saliency_bias: Tensor | None = None, block_size: int = 256,
                 explore: np.ndarray | None = None) -> Tensor:
     """Windowed causal attention with global tokens.
 
@@ -132,8 +131,6 @@ def sga_forward(h, params: SgaLayerParams, globals_: GlobalTokenSet | np.ndarray
     ``explore`` optionally appends extra (train-time) candidate
     positions per sequence, filtered to the causal prefix.
     """
-    if not causal:
-        raise UsageError("sga_forward: only causal attention is supported")
     squeeze = h.data.ndim == 2
     if squeeze:
         h = T.reshape(h, (1,) + h.data.shape)
@@ -147,8 +144,7 @@ def sga_forward(h, params: SgaLayerParams, globals_: GlobalTokenSet | np.ndarray
     if causal_sel:
         if globals_ != "causal":
             raise UsageError(f"unknown selection mode '{globals_}'")
-        if saliency is None:
-            saliency = h.data @ params.saliency_proj.data
+        saliency = h.data @ params.saliency_proj.data
         K_sel = min(params.max_globals, L)
     else:
         if isinstance(globals_, GlobalTokenSet):

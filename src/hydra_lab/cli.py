@@ -23,10 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import emit_report, fit_scaling, measure_throughput
 from .checkpoint import restore_model
-from .experiments import run_experiment
-from .model import ABLATABLE, build_hydra, build_transformer
+from .experiments import run_efficiency, run_experiment
+from .model import ABLATABLE
 from .tasks import (
     gen_distant_premise,
     gen_logic_chain,
@@ -36,7 +35,7 @@ from .tasks import (
     read_samples,
     write_samples,
 )
-from .tensor import UsageError, no_grad
+from .tensor import UsageError
 from .training import evaluate_accuracy, write_run_records
 
 GEN_TASKS = ("logic", "random", "qa", "distant", "multidomain")
@@ -213,33 +212,21 @@ def cmd_bench(args) -> int:
     if args.repeats < 3:
         raise UsageError("--repeats must be >= 3 (warmups are separate)")
     lens = [int(x) for x in args.lens.split(",")]
-    from .experiments import efficiency_config
-
-    config = efficiency_config(args.seed)
-    kinds = ["hydra", "transformer"] if args.variant == "both" else [args.variant]
-    records = []
-    for kind in kinds:
-        params = build_hydra(config) if kind == "hydra" else build_transformer(config)
-        for L in lens:
-            r = measure_throughput(kind, config, params, L, n_repeats=args.repeats, seed=args.seed)
-            records.append(r)
-            print(f"{kind} L={L}: {r.tokens_per_sec:,.0f} tok/s, "
-                  f"{r.ms_per_token:.4f} ms/tok, peak {r.peak_mem_mb:.0f} MB")
-        del params
-    fits = []
-    crossover = None
-    if len(lens) >= 4:
-        fits, crossover = fit_scaling(records)
-        for f in fits:
-            print(f"{f.variant}: time ~ L^{f.exponent:.2f} (R^2={f.r_squared:.3f})")
-        if crossover is not None:
-            print(f"throughput crossover at L={crossover}")
     run_dir = _out_root(args)
-    paths = emit_report(records, fits, run_dir)
+    result = run_efficiency(args.seed, model=args.variant, lens=lens,
+                            n_repeats=args.repeats, out_dir=run_dir)
+    summary = result.summary
+    for r in summary["bench_records"]:
+        print(f"{r.variant} L={r.seq_len}: {r.tokens_per_sec:,.0f} tok/s, "
+              f"{r.ms_per_token:.4f} ms/tok, peak {r.peak_mem_mb:.0f} MB")
+    for f in summary["bench_fits"]:
+        print(f"{f.variant}: time ~ L^{f.exponent:.2f} (R^2={f.r_squared:.3f})")
+    if summary["crossover"] is not None:
+        print(f"throughput crossover at L={summary['crossover']}")
     _write_manifest(run_dir, args, {"variant": args.variant, "lens": lens,
                                     "repeats": args.repeats,
-                                    "model_config": config.to_dict()},
-                    list(paths.values()), started, args.seed)
+                                    "model_config": result.config.to_dict()},
+                    summary["bench_outputs"], started, args.seed)
     return 0
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import BenchRecord, emit_report, fit_scaling, measure_throughput
+from .bench import emit_report, fit_scaling, measure_throughput
 from .checkpoint import save_checkpoint
 from .model import ModelConfig, build_hydra, build_transformer
 from .rng import substream
@@ -177,8 +177,9 @@ def run_efficiency(seed=0, scale=1.0, model="both", overrides=None,
                               report=TrainReport(), records=run_records,
                               summary=summary, config=config)
     result.summary["bench_records"] = records
+    result.summary["bench_fits"] = fits
     if out_dir is not None:
-        emit_report(records, fits, out_dir)
+        result.summary["bench_outputs"] = list(emit_report(records, fits, out_dir).values())
     return result
 
 

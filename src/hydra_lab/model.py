@@ -22,19 +22,18 @@ causal end to end.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .attention import SgaLayerParams, init_sga_params, sga_cost, sga_forward
-from .moe import ExpertPool, chunk_spans, init_expert_pool
-from .pkm import PkmStore, init_pkm_store, pkm_query_batch
+from .moe import ExpertPool, chunk_spans, dispatch_fractions, init_expert_pool, moe_apply, top2_pairs
+from .pkm import PkmStore, init_pkm_store, pkm_blend, pkm_query_batch
 from .rng import substream
 from .ssm import SsmLayerParams, init_ssm_params, ssm_scan
 from .tensor import Tensor, UsageError
-from .workspace import WorkspaceParams, init_workspace_params
+from .workspace import WorkspaceParams, init_workspace_params, workspace_read, workspace_write
 
 ABLATABLE = ("workspace", "sga", "moe", "pkm")
 
@@ -168,15 +167,7 @@ def route(s_c: Tensor, params: RouterParams, tau: float = 0.5) -> RouterDecision
         s_c = T.reshape(s_c, (1,) + s_c.data.shape)
     r = T.matmul(T.silu(T.matmul(s_c, params.w1)), params.w2)     # [B, C, m]
     B, C, m = r.data.shape
-    E = params.w_moe.data.shape[0]
-    k = min(2, E)
-
-    logits = T.matmul(r, T.transpose(params.w_moe))               # [B, C, E]
-    full = T.softmax(logits, axis=-1)
-    ids = np.argsort(-full.data, axis=-1, kind="stable")[..., :k]
-    ids = np.sort(ids, axis=-1)
-    pair_logits = T.take_along_last(logits, ids)
-    weights = T.softmax(pair_logits, axis=-1)
+    full, ids, weights = top2_pairs(T.matmul(r, T.transpose(params.w_moe)))
 
     def head(w):
         return T.reshape(T.matmul(r, T.reshape(w, (m, 1))), (B, C))
@@ -381,42 +372,6 @@ def _per_token(decision_field: Tensor, tok_chunk: np.ndarray) -> Tensor:
     return T.take_along_last(decision_field, idx)
 
 
-def moe_apply(u: Tensor, pool: ExpertPool, expert_ids: np.ndarray,
-              expert_weights: Tensor) -> Tensor:
-    """Vectorized chunk-routed expert application on [B, L, d]."""
-    from .moe import scatter_rows
-
-    B, L, d = u.data.shape
-    cs = pool.chunk_size
-    spans = chunk_spans(L, cs)
-    C = len(spans)
-    k = expert_ids.shape[-1]
-    x2 = T.reshape(u, (B * L, d))
-    w_flat = T.reshape(expert_weights, (B * C * k,))
-    ids_flat = expert_ids.reshape(B * C, k)
-
-    # row ranges per (batch, chunk)
-    chunk_rows = [np.arange(b * L + s, b * L + t) for b in range(B) for s, t in spans]
-
-    parts = []
-    for e in range(pool.n_experts):
-        sel_chunks, sel_slots = np.nonzero(ids_flat == e)
-        if sel_chunks.size == 0:
-            continue
-        rows = np.concatenate([chunk_rows[c] for c in sel_chunks])
-        wpos = np.concatenate([
-            np.full(chunk_rows[c].size, c * k + s)
-            for c, s in zip(sel_chunks, sel_slots)
-        ])
-        tok_w = T.reshape(T.gather_rows(w_flat, wpos), (rows.size, 1))
-        y = T.mul(pool.experts[e](T.gather_rows(x2, rows)), tok_w)
-        parts.append(scatter_rows(y, rows, B * L))
-    out = parts[0]
-    for p in parts[1:]:
-        out = T.add(out, p)
-    return T.reshape(out, (B, L, d))
-
-
 def tri_path_block(x: Tensor, bp: HydraBlockParams, decision: RouterDecision,
                    config: ModelConfig, train_mode: bool = False,
                    ablate: frozenset = frozenset(), explore_rng=None) -> Tensor:
@@ -467,49 +422,13 @@ def _memory_stage(h: Tensor, params: HydraParams, decision: RouterDecision,
     strictly earlier chunks, so nothing leaks backward in time.
     """
     B, L, d = h.data.shape
-    tok_chunk = _tok_chunk_map(L, config.chunk_size)
-    spans = chunk_spans(L, config.chunk_size)
+    cs = config.chunk_size
+    tok_chunk = _tok_chunk_map(L, cs)
 
     if "workspace" not in ablate:
-        # One write round per chunk: the current slot values issue the
-        # queries (so rounds compose: what a slot absorbed earlier
-        # steers what it grabs next) against the causal prefix of
-        # summaries. Tokens of chunk c read the state written from
-        # chunks < c; the reads batch across chunks in one attention.
-        wp = params.workspace
-        cs = config.chunk_size
-        C = len(spans)
-        sa = config.ws_active
-        rank = config.ws_rank
-        scale = 1.0 / np.sqrt(rank)
         beta_ws = _per_token(decision.beta_ws, tok_chunk)          # [B, L]
-        summaries = chunk_summarize(h, cs)                         # [B, C, d]
-        k_w = T.matmul(summaries, wp.w_kw)                         # [B, C, r]
-        v_w = T.matmul(summaries, wp.w_vw)
-        init = wp.init_slots[:sa]                                  # [S, d]
-        active = T.add(T.reshape(init, (1, sa, d)), Tensor(np.zeros((B, 1, 1))))
-        states = [T.reshape(active, (B, 1, sa, d))]
-        for c in range(C - 1):
-            q = T.matmul(active, wp.w_qw)                          # [B, S, r]
-            pre_k = k_w[:, :c + 1]
-            scores = T.matmul(q, T.transpose(pre_k, (0, 2, 1))) * scale
-            attn = T.softmax(scores, axis=-1)
-            upd = T.matmul(T.matmul(attn, v_w[:, :c + 1]), wp.w_ow)
-            active = T.add(active, upd)
-            states.append(T.reshape(active, (B, 1, sa, d)))
-        slots_read = T.concat(states, axis=1) if C > 1 else states[0]  # [B, C, S, d]
-
-        pad = C * cs - L
-        h_pad = T.concat([h, Tensor(np.zeros((B, pad, d)))], axis=1) if pad else h
-        hq = T.matmul(T.reshape(h_pad, (B, C, cs, d)), wp.w_qr)    # [B, C, cs, r]
-        k_r = T.matmul(slots_read, wp.w_kr)                        # [B, C, S, r]
-        v_r = T.matmul(slots_read, wp.w_vr)
-        scores = T.matmul(hq, T.transpose(k_r, (0, 1, 3, 2))) * scale
-        read = T.matmul(T.matmul(T.softmax(scores, axis=-1), v_r), wp.w_or)
-        read = T.reshape(read, (B, C * cs, d))
-        if pad:
-            read = read[:, :L]
-        h = T.add(h, T.mul(T.reshape(beta_ws, (B, L, 1)), read))
+        slots = workspace_write(chunk_summarize(h, cs), params.workspace)
+        h = workspace_read(h, slots, beta_ws, params.workspace, cs)
         if stats is not None:
             stats["mean_beta_ws"] = float(decision.beta_ws.data.mean())
 
@@ -518,8 +437,7 @@ def _memory_stage(h: Tensor, params: HydraParams, decision: RouterDecision,
         q = T.matmul(h, T.transpose(params.pkm.w_query))           # [B, L, dk]
         retr = pkm_query_batch(T.reshape(q, (B * L, config.pkm_dk)), params.pkm)
         m = T.reshape(retr.value, (B, L, config.pkm_dv))
-        proj = T.matmul(m, T.transpose(params.pkm.w_val))
-        h = T.add(h, T.mul(T.reshape(beta_pkm, (B, L, 1)), proj))
+        h = pkm_blend(h, m, T.reshape(beta_pkm, (B, L, 1)), params.pkm.w_val)
         if stats is not None:
             stats["mean_beta_pkm"] = float(decision.beta_pkm.data.mean())
     return h
@@ -559,9 +477,7 @@ def hydra_forward(tokens, config: ModelConfig, params: HydraParams,
     if stats is not None:
         stats["mean_p_sga"] = float(decision.p_sga.data.mean())
         stats["sga_on_rate"] = float(decision.sga_on.mean())
-        E = config.n_experts
-        hist = np.bincount(decision.expert_ids.reshape(-1), minlength=E).astype(float)
-        stats["expert_histogram"] = hist / max(hist.sum(), 1.0)
+        stats["expert_histogram"] = dispatch_fractions(decision.expert_ids, config.n_experts)
         stats["decision"] = decision
 
     mem_at = config.memory_block()

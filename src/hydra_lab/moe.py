@@ -50,13 +50,6 @@ class ExpertPool:
         return out
 
 
-@dataclass
-class MoeRouting:
-    expert_ids: np.ndarray        # 2 distinct indices, argmax-2 of the distribution
-    weights: Tensor               # [2] pair-renormalized masses, sum to 1
-    full_distribution: Tensor     # [E] router softmax
-
-
 def init_expert_pool(d, hidden, n_experts, chunk_size, rng) -> ExpertPool:
     scale = 1.0 / np.sqrt(d)
     out_scale = 1.0 / np.sqrt(hidden)
@@ -75,17 +68,21 @@ def chunk_spans(L: int, chunk_size: int) -> list[tuple[int, int]]:
     return [(s, min(s + chunk_size, L)) for s in range(0, L, chunk_size)]
 
 
-def route_chunk(r_c: Tensor, w_moe: Tensor, k: int = 2) -> MoeRouting:
-    """Top-k routing from one chunk summary; ties break to lower index."""
-    E = w_moe.data.shape[0]
-    if k > E:
-        raise UsageError("route_chunk: k must be <= number of experts")
-    logits = T.reshape(T.matmul(w_moe, T.reshape(r_c, (r_c.data.shape[0], 1))), (E,))
+def top2_pairs(logits: Tensor):
+    """Top-2 expert choice per row of router logits [.., E].
+
+    Returns (full, ids, weights): the router softmax [.., E], the chosen
+    ids [.., k] sorted ascending (k = min(2, E); ties go to the lower
+    index), and their pair-renormalized masses [.., k], which equal the
+    softmax of the chosen logits.
+    """
+    k = min(2, logits.data.shape[-1])
     full = T.softmax(logits, axis=-1)
-    ids = np.sort(np.argsort(-full.data, kind="stable")[:k])
-    # renormalized masses over the chosen pair == softmax of their logits
-    weights = T.softmax(T.gather_rows(logits, ids), axis=-1)
-    return MoeRouting(expert_ids=ids, weights=weights, full_distribution=full)
+    ids = np.argsort(-full.data, axis=-1, kind="stable")[..., :k]
+    ids = np.sort(ids, axis=-1)
+    pair_logits = T.take_along_last(logits, ids)
+    weights = T.softmax(pair_logits, axis=-1)
+    return full, ids, weights
 
 
 def scatter_rows(values: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
@@ -100,52 +97,44 @@ def scatter_rows(values: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
     return T._make_output(out, (values,), bwd, "scatter_rows")
 
 
-def moe_forward(x: Tensor, pool: ExpertPool, routings: list[MoeRouting]) -> Tensor:
-    """Apply each chunk's two experts, weighted; only selected experts run.
+def moe_apply(u: Tensor, pool: ExpertPool, expert_ids: np.ndarray,
+              expert_weights: Tensor) -> Tensor:
+    """Vectorized chunk-routed expert application on [B, L, d]."""
+    B, L, d = u.data.shape
+    cs = pool.chunk_size
+    spans = chunk_spans(L, cs)
+    C = len(spans)
+    k = expert_ids.shape[-1]
+    x2 = T.reshape(u, (B * L, d))
+    w_flat = T.reshape(expert_weights, (B * C * k,))
+    ids_flat = expert_ids.reshape(B * C, k)
 
-    x is [L, d]; routings has one entry per chunk of pool.chunk_size
-    tokens (last chunk may be short).
-    """
-    L = x.data.shape[0]
-    spans = chunk_spans(L, pool.chunk_size)
-    if len(spans) != len(routings):
-        raise UsageError(f"moe_forward: {len(spans)} chunks but {len(routings)} routings")
+    # row ranges per (batch, chunk)
+    chunk_rows = [np.arange(b * L + s, b * L + t) for b in range(B) for s, t in spans]
 
     parts = []
     for e in range(pool.n_experts):
-        tok_idx = []
-        w_chunk = []
-        chunk_of_token = []
-        for c, (s, t) in enumerate(spans):
-            for slot in range(len(routings[c].expert_ids)):
-                if routings[c].expert_ids[slot] == e:
-                    tok_idx.append(np.arange(s, t))
-                    chunk_of_token.append(np.full(t - s, len(w_chunk)))
-                    w_chunk.append(routings[c].weights[slot:slot + 1])
-        if not tok_idx:
+        sel_chunks, sel_slots = np.nonzero(ids_flat == e)
+        if sel_chunks.size == 0:
             continue
-        idx = np.concatenate(tok_idx)
-        wvec = T.reshape(T.concat(w_chunk, axis=0), (len(w_chunk), 1))
-        tok_w = T.gather_rows(wvec, np.concatenate(chunk_of_token))  # [n_e, 1]
-        y = T.mul(pool.experts[e](T.gather_rows(x, idx)), tok_w)
-        parts.append(scatter_rows(y, idx, L))
-    if not parts:
-        raise UsageError("moe_forward: no expert received any chunk")
+        rows = np.concatenate([chunk_rows[c] for c in sel_chunks])
+        wpos = np.concatenate([
+            np.full(chunk_rows[c].size, c * k + s)
+            for c, s in zip(sel_chunks, sel_slots)
+        ])
+        tok_w = T.reshape(T.gather_rows(w_flat, wpos), (rows.size, 1))
+        y = T.mul(pool.experts[e](T.gather_rows(x2, rows)), tok_w)
+        parts.append(scatter_rows(y, rows, B * L))
     out = parts[0]
     for p in parts[1:]:
         out = T.add(out, p)
-    return out
+    return T.reshape(out, (B, L, d))
 
 
-def dispatch_fractions(routings: list[MoeRouting], n_experts: int) -> np.ndarray:
+def dispatch_fractions(expert_ids: np.ndarray, n_experts: int) -> np.ndarray:
     """Fraction of chunk-assignments routed to each expert."""
-    counts = np.zeros(n_experts)
-    total = 0
-    for r in routings:
-        for e in r.expert_ids:
-            counts[e] += 1
-            total += 1
-    return counts / max(total, 1)
+    counts = np.bincount(np.asarray(expert_ids).reshape(-1), minlength=n_experts).astype(float)
+    return counts / max(counts.sum(), 1.0)
 
 
 def load_balance_loss(all_distributions: Tensor, fractions_dispatched: np.ndarray) -> Tensor:

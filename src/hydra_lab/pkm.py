@@ -112,24 +112,12 @@ def pkm_query_batch(q: Tensor, store: PkmStore) -> PkmRetrieval:
     return _select_topk(flat, comp_ids, store.k_composites, store)
 
 
-def pkm_query(q_t: Tensor, store: PkmStore) -> PkmRetrieval:
-    """Single-token retrieval; see pkm_query_batch."""
-    r = pkm_query_batch(T.reshape(q_t, (1, q_t.data.shape[0])), store)
-    return PkmRetrieval(
-        indices=r.indices[0],
-        scores=T.reshape(r.scores, (store.k_composites,)),
-        weights=T.reshape(r.weights, (store.k_composites,)),
-        value=T.reshape(r.value, (r.value.data.shape[-1],)),
-    )
-
-
-def pkm_bruteforce(q_t: Tensor, store: PkmStore) -> PkmRetrieval:
-    """Exhaustive scoring of all N^2 composites (ground-truth oracle)."""
+def pkm_bruteforce(q: Tensor, store: PkmStore) -> PkmRetrieval:
+    """Exhaustive scoring of all N^2 composites for queries [L, d_k]
+    (ground-truth oracle)."""
     N = store.n_sub_keys
     if N * N > 10**6:
         raise UsageError("pkm_bruteforce: N^2 exceeds the 10^6 guard")
-    single = q_t.data.ndim == 1
-    q = T.reshape(q_t, (1, q_t.data.shape[0])) if single else q_t
     L, d_k = q.data.shape
     half = d_k // 2
     s1 = T.matmul(q[:, :half], T.transpose(store.codebook1))
@@ -138,25 +126,14 @@ def pkm_bruteforce(q_t: Tensor, store: PkmStore) -> PkmRetrieval:
     flat = T.reshape(grid, (L, N * N))
     comp_ids = np.broadcast_to(np.arange(N * N), (L, N * N))
     candidate_counter.scored += L * N * N
-    r = _select_topk(flat, comp_ids, store.k_composites, store)
-    if single:
-        return PkmRetrieval(
-            indices=r.indices[0],
-            scores=T.reshape(r.scores, (store.k_composites,)),
-            weights=T.reshape(r.weights, (store.k_composites,)),
-            value=T.reshape(r.value, (r.value.data.shape[-1],)),
-        )
-    return r
+    return _select_topk(flat, comp_ids, store.k_composites, store)
 
 
-def pkm_blend(h_t: Tensor, m_t: Tensor, beta_t, w_val: Tensor) -> Tensor:
-    """h <- h + beta * (W_val m); beta is a scalar or [.., 1] tensor in [0, 1]."""
-    beta = beta_t if isinstance(beta_t, Tensor) else Tensor(np.asarray(beta_t, dtype=float))
+def pkm_blend(h: Tensor, m: Tensor, beta, w_val: Tensor) -> Tensor:
+    """h <- h + beta * (m W_val^T) for h [.., d] and retrieved values m [.., d_v];
+    beta is a scalar or [.., 1] tensor in [0, 1]."""
+    beta = beta if isinstance(beta, Tensor) else Tensor(np.asarray(beta, dtype=float))
     if np.any(beta.data < 0) or np.any(beta.data > 1):
         raise UsageError("pkm_blend: beta must lie in [0, 1]")
-    single = m_t.data.ndim == 1
-    m = T.reshape(m_t, (1,) + m_t.data.shape) if single else m_t
     proj = T.matmul(m, T.transpose(w_val))                     # [.., d]
-    if single:
-        proj = T.reshape(proj, (proj.data.shape[-1],))
-    return T.add(h_t, T.mul(beta, proj))
+    return T.add(h, T.mul(beta, proj))

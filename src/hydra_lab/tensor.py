@@ -374,27 +374,6 @@ def silu(x) -> Tensor:
     return _make_output(out, (x,), bwd, "silu")
 
 
-_UNARY = {"sigmoid": sigmoid, "tanh": tanh, "exp": exp, "log": log, "relu": relu, "silu": silu}
-_BINARY = {"add": add, "sub": sub, "mul": mul}
-
-
-def elementwise(op_kind: str, a, b=None) -> Tensor:
-    """Dispatch an elementwise op by name.
-
-    ``op_kind`` is one of add/sub/mul (binary) or
-    sigmoid/tanh/exp/log/relu/silu (unary).
-    """
-    if op_kind in _BINARY:
-        if b is None:
-            raise UsageError(f"elementwise '{op_kind}' needs two operands")
-        return _BINARY[op_kind](a, b)
-    if op_kind in _UNARY:
-        if b is not None:
-            raise UsageError(f"elementwise '{op_kind}' takes one operand")
-        return _UNARY[op_kind](a)
-    raise UsageError(f"unknown elementwise op '{op_kind}'")
-
-
 # ---------------------------------------------------------------------------
 # matmul
 
@@ -469,16 +448,6 @@ def tmean(x, axis=None, keepdims=False) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # shape ops
-
-def cumsum(x, axis) -> Tensor:
-    x = as_tensor(x)
-    out = np.cumsum(x.data, axis=axis)
-
-    def bwd(g):
-        return (np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis), axis=axis),)
-
-    return _make_output(out, (x,), bwd, "cumsum")
-
 
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)

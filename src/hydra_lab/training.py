@@ -1,9 +1,9 @@
-"""Optimizers, losses, the staged-activation curriculum, and the
-experiment protocols.
+"""Optimizers, losses, the staged-activation curriculum, report records,
+and the generic training loop that the protocols in ``experiments.py``
+drive.
 
-Each experiment trains one arm (a model kind plus optional ablations)
-under a fixed scaled protocol, logs one report row per epoch, and ends
-with an evaluation pass that fills a summary dict. The auxiliary
+``train_model`` trains one arm (a model kind plus optional ablations),
+logs one report row per epoch, and evaluates at the end. The auxiliary
 objectives follow the architecture: a Switch-style balance term on the
 expert router whenever a mixture is live, and an optional mean-gate
 penalty on the memory interpolation weights so retrieval only stays
@@ -21,22 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .model import ModelConfig, build_hydra, build_transformer, hydra_forward, transformer_forward
-from .moe import load_balance_loss
+from .model import ModelConfig, hydra_forward, transformer_forward
+from .moe import dispatch_fractions, load_balance_loss
 from .rng import substream
-from .tasks import (
-    TaskSample,
-    gen_distant_premise,
-    gen_logic_chain,
-    gen_multidomain,
-    gen_qa_openclosed,
-    distant_premise_vocab,
-    load_text_corpus,
-    logic_vocab,
-    multidomain_vocab,
-    qa_vocab,
-    train_eval_seeds,
-)
+from .tasks import TaskSample
 from .tensor import Tensor, UsageError, backward, no_grad
 
 EXPERIMENTS = ("logic", "efficiency", "wikitext", "pkm_recall", "distant_premise", "moe_dense")
@@ -331,8 +319,7 @@ def train_model(kind: str, config: ModelConfig, params, train_samples, eval_samp
                 dec = stats["decision"]
                 E = config.n_experts
                 dist = T.reshape(dec.full_distribution, (-1, E))
-                counts = np.bincount(dec.expert_ids.reshape(-1), minlength=E).astype(float)
-                bal = load_balance_loss(dist, counts / counts.sum())
+                bal = load_balance_loss(dist, dispatch_fractions(dec.expert_ids, E))
                 loss = T.add(loss, T.mul(bal, bal_w))
                 ep_bal += bal.item()
             if kind == "hydra" and settings.gate_penalty and ("pkm" not in ab or "workspace" not in ab):

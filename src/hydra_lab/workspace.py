@@ -1,8 +1,9 @@
 """Workspace memory: a fixed set of learnable slots used as a scratchpad.
 
 Chunk summaries are written into the active slots by low-rank cross
-attention; tokens read from the active slots through a separate
-low-rank path, gated per token by an interpolation weight in [0, 1].
+attention, one round per chunk; the tokens of each chunk read the slot
+state written from strictly earlier chunks through a separate low-rank
+path, gated per token by an interpolation weight in [0, 1].
 At segment boundaries the active slots are pooled into carry-over
 slots and the rest reset to their learned initial embeddings.
 """
@@ -69,16 +70,6 @@ def init_workspace_params(d, s_total, s_active, rank, rng) -> WorkspaceParams:
     )
 
 
-def fresh_workspace(params: WorkspaceParams, batch: int | None = None) -> Workspace:
-    """A workspace whose slots are the learned initial embeddings (so
-    gradients reach them through every later read)."""
-    if batch is None:
-        return Workspace(slots=params.init_slots, params=params)
-    S, d = params.init_slots.data.shape
-    tiled = T.add(T.reshape(params.init_slots, (1, S, d)), Tensor(np.zeros((batch, 1, 1))))
-    return Workspace(slots=tiled, params=params)
-
-
 def _split_active(ws: Workspace):
     sa = ws.params.s_active
     if ws.slots.data.ndim == 2:
@@ -86,37 +77,59 @@ def _split_active(ws: Workspace):
     return ws.slots[:, :sa], ws.slots[:, sa:]
 
 
-def workspace_write(chunk_summaries: Tensor, ws: Workspace) -> Workspace:
-    """Additively update each active slot by attention over the summaries.
+def workspace_write(summaries: Tensor, params: WorkspaceParams) -> Tensor:
+    """Causal chunk-by-chunk write: [B, C, d] summaries -> [B, C, S_a, d].
 
-    chunk_summaries is [C, d] (or [B, C, d] matching batched slots);
-    inactive slots pass through unchanged.
+    Entry c is the active-slot state that the tokens of chunk c read: the
+    learned initial slots for c = 0, then one write round per earlier
+    chunk. In each round the current slot values issue the queries (so
+    rounds compose: what a slot absorbed earlier steers what it grabs
+    next) against the causal prefix of summaries, and the attended
+    values are added to the slots.
     """
-    p = ws.params
-    active, inactive = _split_active(ws)
-    q = T.matmul(active, p.w_qw)                      # [.., S_a, r]
-    k = T.matmul(chunk_summaries, p.w_kw)             # [.., C, r]
-    v = T.matmul(chunk_summaries, p.w_vw)
-    scores = T.matmul(q, T.transpose(k, _swap(k))) * (1.0 / np.sqrt(p.rank))
-    upd = T.matmul(T.matmul(T.softmax(scores, axis=-1), v), p.w_ow)
-    new_active = T.add(active, upd)
-    axis = 0 if ws.slots.data.ndim == 2 else 1
-    return Workspace(slots=T.concat([new_active, inactive], axis=axis), params=p)
+    B, C, d = summaries.data.shape
+    sa = params.s_active
+    scale = 1.0 / np.sqrt(params.rank)
+    k_w = T.matmul(summaries, params.w_kw)                     # [B, C, r]
+    v_w = T.matmul(summaries, params.w_vw)
+    init = params.init_slots[:sa]                              # [S, d]
+    active = T.add(T.reshape(init, (1, sa, d)), Tensor(np.zeros((B, 1, 1))))
+    states = [T.reshape(active, (B, 1, sa, d))]
+    for c in range(C - 1):
+        q = T.matmul(active, params.w_qw)                      # [B, S, r]
+        pre_k = k_w[:, :c + 1]
+        scores = T.matmul(q, T.transpose(pre_k, (0, 2, 1))) * scale
+        attn = T.softmax(scores, axis=-1)
+        upd = T.matmul(T.matmul(attn, v_w[:, :c + 1]), params.w_ow)
+        active = T.add(active, upd)
+        states.append(T.reshape(active, (B, 1, sa, d)))
+    return T.concat(states, axis=1) if C > 1 else states[0]
 
 
-def workspace_read(h: Tensor, ws: Workspace, beta: Tensor) -> Tensor:
-    """out_t = h_t + beta_t * attn(h_t, active slots); beta in [0, 1]."""
+def workspace_read(h: Tensor, slots: Tensor, beta: Tensor, params: WorkspaceParams,
+                   chunk_size: int) -> Tensor:
+    """out_t = h_t + beta_t * attn(h_t, slots of t's chunk); beta in [0, 1].
+
+    h is [B, L, d], slots [B, C, S_a, d] as written by workspace_write
+    and beta [B, L]. The reads of all chunks run as one batched attention.
+    """
     if np.any(beta.data < 0) or np.any(beta.data > 1):
         raise UsageError("workspace_read: beta must lie in [0, 1]")
-    p = ws.params
-    active, _ = _split_active(ws)
-    q = T.matmul(h, p.w_qr)                           # [.., L, r]
-    k = T.matmul(active, p.w_kr)                      # [.., S_a, r]
-    v = T.matmul(active, p.w_vr)
-    scores = T.matmul(q, T.transpose(k, _swap(k))) * (1.0 / np.sqrt(p.rank))
-    read = T.matmul(T.matmul(T.softmax(scores, axis=-1), v), p.w_or)
-    b = T.reshape(beta, beta.data.shape + (1,))
-    return T.add(h, T.mul(b, read))
+    B, L, d = h.data.shape
+    C = slots.data.shape[1]
+    cs = chunk_size
+    scale = 1.0 / np.sqrt(params.rank)
+    pad = C * cs - L
+    h_pad = T.concat([h, Tensor(np.zeros((B, pad, d)))], axis=1) if pad else h
+    hq = T.matmul(T.reshape(h_pad, (B, C, cs, d)), params.w_qr)    # [B, C, cs, r]
+    k_r = T.matmul(slots, params.w_kr)                             # [B, C, S, r]
+    v_r = T.matmul(slots, params.w_vr)
+    scores = T.matmul(hq, T.transpose(k_r, (0, 1, 3, 2))) * scale
+    read = T.matmul(T.matmul(T.softmax(scores, axis=-1), v_r), params.w_or)
+    read = T.reshape(read, (B, C * cs, d))
+    if pad:
+        read = read[:, :L]
+    return T.add(h, T.mul(T.reshape(beta, (B, L, 1)), read))
 
 
 def compress_segment(ws: Workspace) -> Workspace:

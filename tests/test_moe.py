@@ -5,120 +5,145 @@ import pytest
 
 from hydra_lab import tensor as T
 from hydra_lab.moe import (
-    MoeRouting,
     chunk_spans,
     dispatch_fractions,
     init_expert_pool,
     load_balance_loss,
-    moe_forward,
-    route_chunk,
+    moe_apply,
+    top2_pairs,
 )
 from hydra_lab.tensor import Tensor, backward, no_grad
 
 
 def route_all(x, pool, w_moe):
-    spans = chunk_spans(x.data.shape[0], pool.chunk_size)
-    routings = []
-    for s, t in spans:
-        r_c = T.tmean(x[s:t], axis=0)
-        routings.append(route_chunk(r_c, w_moe))
-    return routings
+    """Route each chunk of x [B, L, d] by its own mean: (full, ids, weights)."""
+    L = x.data.shape[1]
+    means = [T.tmean(x[:, s:t], axis=1, keepdims=True) for s, t in chunk_spans(L, pool.chunk_size)]
+    summaries = T.concat(means, axis=1) if len(means) > 1 else means[0]
+    return top2_pairs(T.matmul(summaries, T.transpose(w_moe)))
+
+
+def fixed_routing(ids, weights, B, C):
+    """The same expert ids/weights for every (sequence, chunk)."""
+    ids = np.broadcast_to(np.asarray(ids), (B, C, len(ids))).copy()
+    w = Tensor(np.broadcast_to(np.asarray(weights, dtype=float), (B, C, len(weights))).copy())
+    return ids, w
 
 
 class TestRouteChunk:
+    """Top-2 selection on router logits (``top2_pairs``)."""
+
     def test_k_equals_e_uses_both(self):
-        r = route_chunk(Tensor([1.0, -0.5]), Tensor(np.eye(2)), k=2)
-        np.testing.assert_array_equal(r.expert_ids, [0, 1])
-        np.testing.assert_allclose(r.weights.data, r.full_distribution.data, atol=1e-12)
+        full, ids, weights = top2_pairs(Tensor([1.0, -0.5]))
+        np.testing.assert_array_equal(ids, [0, 1])
+        np.testing.assert_allclose(weights.data, full.data, atol=1e-12)
 
     def test_dominant_logit_weight(self):
         # logits [10,0,0,0]: pair {0,1}, renormalized weight of expert 0
         # is 1/(1+e^-10) (computed independently at high precision)
-        w_moe = Tensor(np.eye(4))
-        r = route_chunk(Tensor([10.0, 0.0, 0.0, 0.0]), w_moe)
-        np.testing.assert_array_equal(r.expert_ids, [0, 1])
+        _, ids, weights = top2_pairs(Tensor([10.0, 0.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(ids, [0, 1])
         import mpmath
 
         mpmath.mp.dps = 40
         expected = float(1 / (1 + mpmath.e ** -10))
-        assert r.weights.data[0] == pytest.approx(expected, abs=1e-12)
-        assert r.weights.data.sum() == pytest.approx(1.0, abs=1e-9)
+        assert weights.data[0] == pytest.approx(expected, abs=1e-12)
+        assert weights.data.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_tie_break(self):
-        r = route_chunk(Tensor([0.0, 0.0, 0.0]), Tensor(np.eye(3)))
-        np.testing.assert_array_equal(r.expert_ids, [0, 1])
-        np.testing.assert_allclose(r.weights.data, [0.5, 0.5], atol=1e-12)
+        _, ids, weights = top2_pairs(Tensor([0.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(ids, [0, 1])
+        np.testing.assert_allclose(weights.data, [0.5, 0.5], atol=1e-12)
+
+    def test_single_expert_takes_all(self):
+        _, ids, weights = top2_pairs(Tensor(np.zeros((2, 3, 1))))
+        assert ids.shape == (2, 3, 1) and (ids == 0).all()
+        np.testing.assert_array_equal(weights.data, 1.0)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(0)
-        r_c = Tensor(rng.normal(size=5))
+        r_c = rng.normal(size=5)
         w = rng.normal(size=(4, 5))
         perm = np.array([2, 0, 3, 1])
-        base = route_chunk(r_c, Tensor(w))
-        permed = route_chunk(r_c, Tensor(w[perm]))
+        _, base, _ = top2_pairs(Tensor(w @ r_c))
+        _, permed, _ = top2_pairs(Tensor(w[perm] @ r_c))
         # expert j of the permuted pool is expert perm[j] of the base pool
-        np.testing.assert_array_equal(np.sort(perm[permed.expert_ids]), base.expert_ids)
+        np.testing.assert_array_equal(np.sort(perm[permed]), base)
+
+    def test_rows_route_independently(self):
+        rng = np.random.default_rng(9)
+        logits = rng.normal(size=(3, 5, 6))
+        full, ids, weights = top2_pairs(Tensor(logits))
+        for b in range(3):
+            for c in range(5):
+                f1, i1, w1 = top2_pairs(Tensor(logits[b, c]))
+                np.testing.assert_array_equal(ids[b, c], i1)
+                np.testing.assert_array_equal(weights.data[b, c], w1.data)
+                np.testing.assert_array_equal(full.data[b, c], f1.data)
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
-        r_c = rng.normal(size=6)
-        w = rng.normal(size=(8, 6))
-        a = route_chunk(Tensor(r_c), Tensor(w))
-        b = route_chunk(Tensor(r_c), Tensor(w))
-        np.testing.assert_array_equal(a.expert_ids, b.expert_ids)
-        assert (a.weights.data == b.weights.data).all()
+        logits = rng.normal(size=(8, 6)) @ rng.normal(size=6)
+        _, ids_a, w_a = top2_pairs(Tensor(logits))
+        _, ids_b, w_b = top2_pairs(Tensor(logits))
+        np.testing.assert_array_equal(ids_a, ids_b)
+        assert (w_a.data == w_b.data).all()
 
 
 class TestMoeForward:
+    """Chunk-routed expert application (``moe_apply``) on [B, L, d]."""
+
     def test_degenerate_single_expert_is_dense_ffn(self):
         rng = np.random.default_rng(2)
         pool = init_expert_pool(d=6, hidden=8, n_experts=1, chunk_size=4, rng=rng)
-        x = Tensor(rng.normal(size=(10, 6)))
-        routings = [MoeRouting(np.array([0]), Tensor([1.0]), Tensor([1.0])) for _ in chunk_spans(10, 4)]
+        x = Tensor(rng.normal(size=(2, 10, 6)))
+        ids, w = fixed_routing([0], [1.0], B=2, C=3)
         with no_grad():
-            out = moe_forward(x, pool, routings)
+            out = moe_apply(x, pool, ids, w)
             dense = pool.experts[0](x)
         np.testing.assert_allclose(out.data, dense.data, atol=1e-12)
 
     def test_identical_routing_equals_weighted_dense_passes(self):
         rng = np.random.default_rng(3)
         pool = init_expert_pool(d=6, hidden=8, n_experts=4, chunk_size=4, rng=rng)
-        x = Tensor(rng.normal(size=(12, 6)))
-        w = Tensor([0.3, 0.7])
-        routings = [MoeRouting(np.array([1, 2]), w, Tensor([0.0, 0.3, 0.7, 0.0])) for _ in range(3)]
+        x = Tensor(rng.normal(size=(1, 12, 6)))
+        ids, w = fixed_routing([1, 2], [0.3, 0.7], B=1, C=3)
         with no_grad():
-            out = moe_forward(x, pool, routings)
+            out = moe_apply(x, pool, ids, w)
             oracle = 0.3 * pool.experts[1](x).data + 0.7 * pool.experts[2](x).data
         np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
     def test_zero_input_zero_output(self):
         rng = np.random.default_rng(4)
         pool = init_expert_pool(d=6, hidden=8, n_experts=2, chunk_size=8, rng=rng)
-        x = Tensor(np.zeros((8, 6)))
-        routings = [MoeRouting(np.array([0, 1]), Tensor([0.5, 0.5]), Tensor([0.5, 0.5]))]
+        x = Tensor(np.zeros((1, 8, 6)))
+        ids, w = fixed_routing([0, 1], [0.5, 0.5], B=1, C=1)
         with no_grad():
-            out = moe_forward(x, pool, routings)
+            out = moe_apply(x, pool, ids, w)
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_exactly_two_expert_evaluations_per_token(self):
         rng = np.random.default_rng(5)
         for E in (2, 4, 8):
             pool = init_expert_pool(d=4, hidden=4, n_experts=E, chunk_size=4, rng=rng)
-            x = Tensor(rng.normal(size=(16, 4)))
+            rows = []
+            pool.experts = [_counting(e, rows) for e in pool.experts]
+            x = Tensor(rng.normal(size=(2, 16, 4)))
             w_moe = Tensor(rng.normal(size=(E, 4)))
-            routings = route_all(x, pool, w_moe)
-            evals = sum(len(r.expert_ids) for r in routings) * 4  # tokens per chunk
-            assert evals == 2 * 16  # independent of E
+            _, ids, weights = route_all(x, pool, w_moe)
+            with no_grad():
+                moe_apply(x, pool, ids, weights)
+            assert sum(rows) == 2 * 2 * 16  # two per token, independent of E
 
     def test_gradient_through_routing_weights(self):
         rng = np.random.default_rng(6)
         pool = init_expert_pool(d=5, hidden=6, n_experts=3, chunk_size=3, rng=rng)
         w_moe = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        x = Tensor(rng.normal(size=(9, 5)), requires_grad=True)
+        x = Tensor(rng.normal(size=(1, 9, 5)), requires_grad=True)
 
         def f(t):
-            routings = route_all(t, pool, w_moe)
-            return T.tsum(moe_forward(t, pool, routings))
+            _, ids, weights = route_all(t, pool, w_moe)
+            return T.tsum(moe_apply(t, pool, ids, weights))
 
         # selection is held fixed by construction at these inputs; the
         # soft weights and expert params carry the gradient
@@ -129,10 +154,28 @@ class TestMoeForward:
         rng = np.random.default_rng(7)
         pool = init_expert_pool(d=5, hidden=6, n_experts=3, chunk_size=3, rng=rng)
         w_moe = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        x = Tensor(rng.normal(size=(6, 5)))
-        routings = route_all(x, pool, w_moe)
-        backward(T.tsum(moe_forward(x, pool, routings)))
+        x = Tensor(rng.normal(size=(1, 6, 5)))
+        _, ids, weights = route_all(x, pool, w_moe)
+        backward(T.tsum(moe_apply(x, pool, ids, weights)))
         assert w_moe.grad is not None and np.abs(w_moe.grad).max() > 0
+
+    def test_ragged_last_chunk_uses_its_own_pair(self):
+        rng = np.random.default_rng(10)
+        pool = init_expert_pool(d=4, hidden=5, n_experts=3, chunk_size=4, rng=rng)
+        x = Tensor(rng.normal(size=(1, 10, 4)))
+        ids = np.array([[[0, 1], [0, 2], [1, 2]]])
+        w = Tensor(np.array([[[0.6, 0.4], [0.5, 0.5], [0.1, 0.9]]]))
+        with no_grad():
+            out = moe_apply(x, pool, ids, w).data[0]
+            tail = 0.1 * pool.experts[1](x).data[0, 8:] + 0.9 * pool.experts[2](x).data[0, 8:]
+        np.testing.assert_allclose(out[8:], tail, atol=1e-12)
+
+
+def _counting(expert, rows):
+    def call(x):
+        rows.append(x.data.shape[0])
+        return expert(x)
+    return call
 
 
 class TestLoadBalance:
@@ -157,11 +200,7 @@ class TestLoadBalance:
         assert load_balance_loss(dist, np.array([1.0])).item() == pytest.approx(1.0)
 
     def test_dispatch_fractions(self):
-        routings = [
-            MoeRouting(np.array([0, 1]), Tensor([0.5, 0.5]), Tensor(np.full(4, 0.25))),
-            MoeRouting(np.array([0, 2]), Tensor([0.5, 0.5]), Tensor(np.full(4, 0.25))),
-        ]
-        f = dispatch_fractions(routings, 4)
+        f = dispatch_fractions(np.array([[[0, 1], [0, 2]]]), 4)
         np.testing.assert_allclose(f, [0.5, 0.25, 0.25, 0.0])
 
     def test_balance_gradient_direction(self):

@@ -10,7 +10,6 @@ from hydra_lab.pkm import (
     init_pkm_store,
     pkm_blend,
     pkm_bruteforce,
-    pkm_query,
     pkm_query_batch,
 )
 from hydra_lab.tensor import Tensor, UsageError, backward, no_grad
@@ -23,45 +22,42 @@ def make_store(N=8, d_k=8, d_v=6, t=4, k_c=4, seed=0, d=6):
 class TestFactorizedEqualsExhaustive:
     def test_t_equals_n_always_agrees(self):
         store = make_store(N=6, t=6, k_c=4, seed=1)
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            q = Tensor(rng.normal(size=8))
-            with no_grad():
-                a = pkm_query(q, store)
-                b = pkm_bruteforce(q, store)
-            np.testing.assert_array_equal(a.indices, b.indices)
-            np.testing.assert_allclose(a.value.data, b.value.data, atol=1e-12)
+        q = Tensor(np.random.default_rng(2).normal(size=(50, 8)))
+        with no_grad():
+            a = pkm_query_batch(q, store)
+            b = pkm_bruteforce(q, store)
+        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_allclose(a.value.data, b.value.data, atol=1e-12)
 
     def test_guarded_agreement_on_1000_queries(self):
         store = make_store(N=8, t=3, k_c=4, seed=3)
-        rng = np.random.default_rng(4)
-        agree = cond_holds = 0
         n = 1000
+        q = np.random.default_rng(4).normal(size=(n, 8))
         with no_grad():
-            for _ in range(n):
-                q = Tensor(rng.normal(size=8))
-                a = pkm_query(q, store)
-                b = pkm_bruteforce(q, store)
-                same = np.array_equal(a.indices, b.indices)
-                agree += same
-                i_short = np.argsort(-((q.data[:4]) @ store.codebook1.data.T), kind="stable")[:3]
-                j_short = np.argsort(-((q.data[4:]) @ store.codebook2.data.T), kind="stable")[:3]
-                covered = all(i in i_short and j in j_short for i, j in b.indices)
-                cond_holds += covered
-                if covered:
-                    assert same, "exhaustive winners inside the shortlist must match"
+            a = pkm_query_batch(Tensor(q), store)
+            b = pkm_bruteforce(Tensor(q), store)
+        agree = cond_holds = 0
+        for row in range(n):
+            same = np.array_equal(a.indices[row], b.indices[row])
+            agree += same
+            i_short = np.argsort(-((q[row, :4]) @ store.codebook1.data.T), kind="stable")[:3]
+            j_short = np.argsort(-((q[row, 4:]) @ store.codebook2.data.T), kind="stable")[:3]
+            covered = all(i in i_short and j in j_short for i, j in b.indices[row])
+            cond_holds += covered
+            if covered:
+                assert same, "exhaustive winners inside the shortlist must match"
         rate = agree / n
         print(f"factorized/exhaustive agreement rate: {rate:.3f} (condition held {cond_holds/n:.3f})")
         assert rate >= cond_holds / n
 
     def test_single_composite_store(self):
         store = make_store(N=1, t=1, k_c=1, seed=5)
-        q = Tensor(np.random.default_rng(6).normal(size=8))
+        q = Tensor(np.random.default_rng(6).normal(size=(1, 8)))
         with no_grad():
-            a = pkm_query(q, store)
+            a = pkm_query_batch(q, store)
             b = pkm_bruteforce(q, store)
-        np.testing.assert_array_equal(a.indices, [[0, 0]])
-        np.testing.assert_array_equal(b.indices, [[0, 0]])
+        np.testing.assert_array_equal(a.indices, [[[0, 0]]])
+        np.testing.assert_array_equal(b.indices, [[[0, 0]]])
 
     def test_adversarial_shortlist_miss(self):
         # side-1 scores (10, 9.5, 9.2), side-2 scores (10, 9): the true
@@ -69,12 +65,12 @@ class TestFactorizedEqualsExhaustive:
         store = make_store(N=3, d_k=6, d_v=4, t=2, k_c=4, seed=7)
         store.codebook1.data[:] = np.eye(3)
         store.codebook2.data[:] = np.eye(3)
-        q = Tensor(np.array([10.0, 9.5, 9.2, 10.0, 9.0, -1.0]))
+        q = Tensor(np.array([[10.0, 9.5, 9.2, 10.0, 9.0, -1.0]]))
         with no_grad():
-            fact = pkm_query(q, store)
+            fact = pkm_query_batch(q, store)
             truth = pkm_bruteforce(q, store)
-        fact_set = {tuple(p) for p in fact.indices}
-        truth_set = {tuple(p) for p in truth.indices}
+        fact_set = {tuple(p) for p in fact.indices[0]}
+        truth_set = {tuple(p) for p in truth.indices[0]}
         assert (2, 0) in truth_set and (2, 0) not in fact_set
         assert fact_set != truth_set
 
@@ -82,11 +78,11 @@ class TestFactorizedEqualsExhaustive:
 class TestScoring:
     def test_score_additivity(self):
         store = make_store(seed=8)
-        q = Tensor(np.random.default_rng(9).normal(size=8))
+        q = np.random.default_rng(9).normal(size=8)
         with no_grad():
-            r = pkm_query(q, store)
-        for (i, j), s in zip(r.indices, r.scores.data):
-            manual = q.data[:4] @ store.codebook1.data[i] + q.data[4:] @ store.codebook2.data[j]
+            r = pkm_query_batch(Tensor(q[None]), store)
+        for (i, j), s in zip(r.indices[0], r.scores.data[0]):
+            manual = q[:4] @ store.codebook1.data[i] + q[4:] @ store.codebook2.data[j]
             assert abs(manual - s) <= 1e-12
 
     def test_one_hot_alignment(self):
@@ -97,17 +93,17 @@ class TestScoring:
         q[3] = 5.0   # q1 aligned to sub-key 3
         q[8 + 7] = 5.0  # q2 aligned to sub-key 7
         with no_grad():
-            r = pkm_query(Tensor(q), store)
-        np.testing.assert_array_equal(r.indices, [[3, 7]])
+            r = pkm_query_batch(Tensor(q[None]), store)
+        np.testing.assert_array_equal(r.indices[0], [[3, 7]])
 
     def test_kc1_returns_argmax_value_exactly(self):
         store = make_store(N=6, t=3, k_c=1, seed=11)
-        q = Tensor(np.random.default_rng(12).normal(size=8))
+        q = Tensor(np.random.default_rng(12).normal(size=(1, 8)))
         with no_grad():
-            r = pkm_query(q, store)
-        i, j = r.indices[0]
-        np.testing.assert_array_equal(r.value.data, store.values.data[i * 6 + j])
-        assert r.weights.data[0] == pytest.approx(1.0)
+            r = pkm_query_batch(q, store)
+        i, j = r.indices[0, 0]
+        np.testing.assert_array_equal(r.value.data[0], store.values.data[i * 6 + j])
+        assert r.weights.data[0, 0] == pytest.approx(1.0)
 
     def test_weights_sum_to_one(self):
         store = make_store(seed=13)
@@ -118,10 +114,10 @@ class TestScoring:
 
     def test_bijective_index_map(self):
         store = make_store(N=5, t=5, k_c=25, seed=15)
-        q = Tensor(np.random.default_rng(16).normal(size=8))
+        q = Tensor(np.random.default_rng(16).normal(size=(1, 8)))
         with no_grad():
-            r = pkm_query(q, store)
-        flat = r.indices[:, 0] * 5 + r.indices[:, 1]
+            r = pkm_query_batch(q, store)
+        flat = r.indices[0, :, 0] * 5 + r.indices[0, :, 1]
         assert len(set(flat.tolist())) == 25
 
 
@@ -142,40 +138,48 @@ class TestCandidateCounting:
             w_query=store.w_query, w_val=store.w_val,
         )
         with pytest.raises(UsageError):
-            pkm_bruteforce(Tensor(np.zeros(8)), store2)
+            pkm_bruteforce(Tensor(np.zeros((1, 8))), store2)
 
 
 class TestBlend:
     def test_beta_zero_identity(self):
         store = make_store(seed=20)
-        h = Tensor(np.random.default_rng(21).normal(size=6))
-        m = Tensor(np.random.default_rng(22).normal(size=6))
+        h = Tensor(np.random.default_rng(21).normal(size=(3, 6)))
+        m = Tensor(np.random.default_rng(22).normal(size=(3, 6)))
         with no_grad():
             out = pkm_blend(h, m, 0.0, store.w_val)
         np.testing.assert_array_equal(out.data, h.data)
 
     def test_beta_one_identity_projection(self):
         w_val = Tensor(np.eye(4))
-        h = Tensor(np.array([1.0, 2.0, 3.0, 4.0]))
-        m = Tensor(np.array([0.5, 0.5, -0.5, 0.0]))
+        h = Tensor(np.array([[1.0, 2.0, 3.0, 4.0]]))
+        m = Tensor(np.array([[0.5, 0.5, -0.5, 0.0]]))
         with no_grad():
             out = pkm_blend(h, m, 1.0, w_val)
         np.testing.assert_allclose(out.data, h.data + m.data, atol=1e-15)
 
     def test_beta_half_is_midpoint(self):
         w_val = Tensor(np.eye(4))
-        h = Tensor(np.zeros(4))
-        m = Tensor(np.array([2.0, -2.0, 4.0, 0.0]))
+        h = Tensor(np.zeros((1, 4)))
+        m = Tensor(np.array([[2.0, -2.0, 4.0, 0.0]]))
         with no_grad():
             lo = pkm_blend(h, m, 0.0, w_val)
             hi = pkm_blend(h, m, 1.0, w_val)
             mid = pkm_blend(h, m, 0.5, w_val)
         np.testing.assert_allclose(mid.data, (lo.data + hi.data) / 2, atol=1e-15)
 
+    def test_per_token_beta(self):
+        # the model passes beta as [B, L, 1]: each token blends by its own weight
+        m = Tensor(np.random.default_rng(28).normal(size=(2, 3, 4)))
+        beta = Tensor(np.array([[[0.0], [1.0], [0.5]]] * 2))
+        with no_grad():
+            out = pkm_blend(Tensor(np.zeros((2, 3, 4))), m, beta, Tensor(np.eye(4)))
+        np.testing.assert_allclose(out.data, beta.data * m.data, atol=1e-15)
+
     def test_beta_range_checked(self):
         store = make_store(seed=23)
         with pytest.raises(UsageError):
-            pkm_blend(Tensor(np.zeros(6)), Tensor(np.zeros(6)), 1.5, store.w_val)
+            pkm_blend(Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6))), 1.5, store.w_val)
 
 
 class TestGradients:
