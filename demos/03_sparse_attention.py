@@ -4,34 +4,37 @@ Run:  python demos/03_sparse_attention.py
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from hydra_lab.attention import (
-    GlobalTokenSet,
-    init_sga_params,
-    select_globals,
-    sga_cost,
-    sga_forward,
-)
+from hydra_lab.attention import init_sga_params, sga_cost, sga_forward
 from hydra_lab.tensor import Tensor, no_grad
 
 rng = np.random.default_rng(0)
 d = 64
 
-# A salient token far outside the local window is still reachable once
-# it is selected as a global token.
+# Each query block selects its globals by saliency from the causal prefix
+# before its window. A salient token far outside the window is reachable
+# with max_globals=4 and invisible with max_globals=0 (window only).
 params = init_sga_params(d=d, n_heads=4, window=8, max_globals=4, rng=rng)
-h = rng.normal(size=(256, d))
-h[40] += 3.0  # make position 40 salient
-globals_ = select_globals(h, params.saliency_proj, K=4)
-print("selected global positions:", globals_.indices.tolist())
+windowed = replace(params, max_globals=0)
+sal = params.saliency_proj.data
+h = rng.normal(size=(1, 256, d))
+h[0, 40] += 6.0 * sal / np.linalg.norm(sal)  # make position 40 salient
+h_pert = h.copy()
+h_pert[0, 40] += 1.0
+win_start = 256 - 32 - 8  # the last 32-query block starts at 224; window 8
+prefix_scores = h[0, :win_start] @ sal
+print("top-4 saliency in the last block's prefix:",
+      sorted(np.argsort(-prefix_scores)[:4].tolist()))
 
 with no_grad():
-    with_g = sga_forward(Tensor(h), params, globals_)
-    without = sga_forward(Tensor(h), params, GlobalTokenSet(np.empty(0, int), np.empty(0)))
-delta = np.abs(with_g.data[-1] - without.data[-1]).max()
-print(f"effect of globals on the final token: {delta:.3e}")
+    for name, p in (("max_globals=4", params), ("max_globals=0", windowed)):
+        base = sga_forward(Tensor(h), p, block_size=32).data[0, -1]
+        pert = sga_forward(Tensor(h_pert), p, block_size=32).data[0, -1]
+        print(f"{name}: final token moves by {np.abs(pert - base).max():.3e} "
+              f"when position 40 changes")
 
 # With the window covering everything, the sparse kernel IS dense
 # causal attention; at fixed window the cost model stays linear in L.
@@ -45,9 +48,9 @@ for L in (1024, 4096, 16384):
 params = init_sga_params(d=d, n_heads=4, window=64, max_globals=16, rng=rng)
 print("\n  L      seconds")
 for L in (2048, 4096, 8192, 16384):
-    hL = Tensor(rng.normal(size=(L, d)))
+    hL = Tensor(rng.normal(size=(1, L, d)))
     with no_grad():
-        sga_forward(hL, params, "causal")
+        sga_forward(hL, params)
         t0 = time.perf_counter()
-        sga_forward(hL, params, "causal")
+        sga_forward(hL, params)
         print(f"{L:>6}  {time.perf_counter() - t0:8.4f}")

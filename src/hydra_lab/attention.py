@@ -3,8 +3,9 @@
 Each token attends to its trailing window of ``w`` positions and to any
 globally selected positions further back. Work is done in query blocks
 so cost and transient memory stay O(L * (w + K) * d) instead of O(L^2).
-Global selection is a hard top-K over a learned linear saliency score;
-an optional per-position score bias lets the saliency projection keep
+Global selection is a hard top-K over a learned linear saliency score,
+redone per query block over the causal prefix; the same score biases
+the logits of the selected columns, so the saliency projection keeps
 receiving gradient through the attention weights it induces.
 """
 
@@ -46,18 +47,6 @@ class SgaLayerParams:
         return ps
 
 
-@dataclass
-class GlobalTokenSet:
-    indices: np.ndarray  # strictly increasing positions, <= K of them
-    scores: np.ndarray   # saliency score per selected position
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.indices.size and not (np.diff(self.indices) > 0).all():
-            raise UsageError("global token indices must be strictly increasing")
-
-
 def init_sga_params(d, n_heads, window, max_globals, rng) -> SgaLayerParams:
     scale = 1.0 / np.sqrt(d)
     mk = lambda: Tensor(rng.normal(0.0, scale, size=(d, d)), requires_grad=True)
@@ -66,23 +55,6 @@ def init_sga_params(d, n_heads, window, max_globals, rng) -> SgaLayerParams:
         n_heads=n_heads, window=window, max_globals=max_globals,
         saliency_proj=Tensor(rng.normal(0.0, scale, size=d), requires_grad=True),
     )
-
-
-def select_globals(h, saliency_proj, K: int) -> GlobalTokenSet:
-    """Top-K positions by the linear saliency score h_t . saliency_proj.
-
-    Hard selection (no gradient); ties break toward the lower index.
-    """
-    hd = h.data if isinstance(h, Tensor) else np.asarray(h)
-    sal = hd @ (saliency_proj.data if isinstance(saliency_proj, Tensor) else saliency_proj)
-    L = hd.shape[0]
-    if K > L:
-        raise UsageError("select_globals: K must be <= L")
-    if K == 0:
-        return GlobalTokenSet(np.empty(0, dtype=np.int64), np.empty(0))
-    order = np.argsort(-sal, kind="stable")[:K]
-    idx = np.sort(order)
-    return GlobalTokenSet(idx, sal[idx])
 
 
 def _split_heads(x, n_heads):
@@ -116,49 +88,59 @@ def _prefix_topk(sal_row: np.ndarray, hi: int, K: int) -> np.ndarray:
     return np.sort(part)
 
 
-def sga_forward(h, params: SgaLayerParams, globals_: GlobalTokenSet | np.ndarray | str,
-                saliency_bias: Tensor | None = None, block_size: int = 256,
-                explore: np.ndarray | None = None) -> Tensor:
-    """Windowed causal attention with global tokens.
+def _block_globals(saliency: np.ndarray, hi: int, K: int, explore):
+    """Global columns of one query block: per sequence, the top-K of the
+    causal prefix [0, hi) plus any ``explore`` positions inside it.
 
-    ``h`` is [L, d] or [B, L, d]. ``globals_`` is either a fixed
-    GlobalTokenSet (or int array [B, G] of per-sequence positions), or
-    the string "causal": then each query block re-selects its top-K
-    globals from the saliency scores of positions strictly before the
-    block's window span, so selection never looks ahead of the query.
-    ``saliency_bias`` ([L] or [B, L]) is added to attention logits at
-    global candidate columns. Equals dense causal attention when w >= L.
-    ``explore`` optionally appends extra (train-time) candidate
-    positions per sequence, filtered to the causal prefix.
+    Returns (gidx [B, G], mask [B, 1, 1, G]) with short rows padded by
+    position 0 under the mask, or None when no sequence has a global.
     """
-    squeeze = h.data.ndim == 2
-    if squeeze:
-        h = T.reshape(h, (1,) + h.data.shape)
-        if saliency_bias is not None:
-            saliency_bias = T.reshape(saliency_bias, (1,) + saliency_bias.data.shape)
+    per_row = []
+    for b in range(saliency.shape[0]):
+        sel = _prefix_topk(saliency[b], hi, K)
+        if explore is not None:
+            extra = explore[b][explore[b] < hi]
+            if extra.size:
+                sel = np.unique(np.concatenate([sel, extra]))
+        per_row.append(sel)
+    G = max(s.size for s in per_row)
+    if not G:
+        return None
+    gidx = np.zeros((len(per_row), G), dtype=np.int64)
+    mask = np.full((len(per_row), 1, 1, G), _MASK)
+    for b, sel in enumerate(per_row):
+        gidx[b, :sel.size] = sel
+        mask[b, 0, 0, :sel.size] = 0.0
+    return gidx, mask
+
+
+def sga_forward(h, params: SgaLayerParams, block_size: int = 256,
+                explore: np.ndarray | None = None) -> Tensor:
+    """Windowed causal attention with causally selected global tokens.
+
+    ``h`` is [B, L, d]. Every query block re-selects its top-K globals
+    (K = ``params.max_globals``) by the saliency score ``h . saliency_proj``
+    of the positions strictly before the block's window span, so selection
+    never looks ahead of the query. The same score, computed once as a
+    tape op, is added to the logits of the global columns, which is how
+    ``saliency_proj`` receives gradient. ``explore`` ([B, n] positions)
+    adds train-time candidates, filtered to the same prefix. With
+    ``max_globals == 0`` and no ``explore`` this is windowed attention
+    only, and dense causal attention when w >= L.
+    """
     B, L, d = h.data.shape
     H, w = params.n_heads, params.window
     dh = d // H
-
-    causal_sel = isinstance(globals_, str)
-    if causal_sel:
-        if globals_ != "causal":
-            raise UsageError(f"unknown selection mode '{globals_}'")
-        saliency = h.data @ params.saliency_proj.data
-        K_sel = min(params.max_globals, L)
-    else:
-        if isinstance(globals_, GlobalTokenSet):
-            gidx_fixed = np.broadcast_to(globals_.indices, (B, globals_.indices.size)).copy()
-        else:
-            gidx_fixed = np.asarray(globals_, dtype=np.int64)
-            if gidx_fixed.ndim == 1:
-                gidx_fixed = np.broadcast_to(gidx_fixed, (B, gidx_fixed.size)).copy()
+    K = min(params.max_globals, L)
+    select = K > 0 or explore is not None
+    if select:
+        sal = T.matmul(h, T.reshape(params.saliency_proj, (d, 1)))   # [B, L, 1]
+        saliency = sal.data[..., 0]
 
     q = _split_heads(T.matmul(h, params.q_proj), H)   # [B,H,L,dh]
     k_all = T.matmul(h, params.k_proj)                # [B,L,d]
     v_all = T.matmul(h, params.v_proj)
     scale = 1.0 / np.sqrt(dh)
-    sal3 = T.reshape(saliency_bias, (B, L, 1)) if saliency_bias is not None else None
 
     out_blocks = []
     for t0 in range(0, L, block_size):
@@ -176,41 +158,15 @@ def sga_forward(h, params: SgaLayerParams, globals_: GlobalTokenSet | np.ndarray
         scores_w = T.matmul(q_blk, T.transpose(k_win, (0, 1, 3, 2))) * scale
         scores_w = scores_w + Tensor(win_mask)
 
-        if causal_sel:
-            # per-block selection over the causal prefix [0, win_start)
-            per_row = []
-            for b in range(B):
-                sel = _prefix_topk(saliency[b], win_start, K_sel)
-                if explore is not None:
-                    extra = explore[b][explore[b] < win_start]
-                    if extra.size:
-                        sel = np.unique(np.concatenate([sel, extra]))
-                per_row.append(sel)
-            G = max((s.size for s in per_row), default=0)
-            if G:
-                # pad short rows with position 0 and mask the padding
-                gidx = np.zeros((B, G), dtype=np.int64)
-                pad = np.full((B, 1, 1, G), _MASK)
-                for b, sel in enumerate(per_row):
-                    gidx[b, :sel.size] = sel
-                    pad[b, 0, 0, :sel.size] = 0.0
-                glob_mask = pad                       # selection already causal
-            else:
-                gidx = None
-        else:
-            gidx = gidx_fixed if gidx_fixed.shape[1] else None
-            if gidx is not None:
-                # allow pos < t-w only (window covers the rest)
-                glob_mask = np.where(gidx[:, None, :] < rows[None, :, :] - w, 0.0, _MASK)
-                glob_mask = glob_mask[:, None, :, :]  # [B,1,nb,G]
-
-        if gidx is not None:
+        picked = _block_globals(saliency, win_start, K, explore) if select else None
+        if picked is not None:
+            gidx, glob_mask = picked
+            G = gidx.shape[1]
             k_glob = _split_heads(T.gather_rows_batched(k_all, gidx), H)
             v_glob = _split_heads(T.gather_rows_batched(v_all, gidx), H)
             scores_g = T.matmul(q_blk, T.transpose(k_glob, (0, 1, 3, 2))) * scale
-            if sal3 is not None:
-                bias_glob = T.gather_rows_batched(sal3, gidx)  # [B,G,1]
-                scores_g = scores_g + T.reshape(T.transpose(bias_glob, (0, 2, 1)), (B, 1, 1, gidx.shape[1]))
+            bias_glob = T.gather_rows_batched(sal, gidx)  # [B,G,1]
+            scores_g = scores_g + T.reshape(T.transpose(bias_glob, (0, 2, 1)), (B, 1, 1, G))
             scores_g = scores_g + Tensor(glob_mask)
             scores = T.concat([scores_w, scores_g], axis=-1)
             v_cat = T.concat([v_win, v_glob], axis=-2)
@@ -221,8 +177,7 @@ def sga_forward(h, params: SgaLayerParams, globals_: GlobalTokenSet | np.ndarray
         out_blocks.append(T.matmul(probs, v_cat))    # [B,H,nb,dh]
 
     out = T.concat(out_blocks, axis=-2) if len(out_blocks) > 1 else out_blocks[0]
-    out = T.matmul(_merge_heads(out), params.out_proj)
-    return T.reshape(out, (L, d)) if squeeze else out
+    return T.matmul(_merge_heads(out), params.out_proj)
 
 
 def sga_cost(L, w, g, d, flops_per_mac: float = 4.0) -> float:

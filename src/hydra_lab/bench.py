@@ -2,22 +2,24 @@
 
 Timing is wall-clock (monotonic) over forward-only passes with the
 tape disabled; two warmup runs are discarded and at least three are
-measured. Peak memory is the high-water mark of the library's own
-tensor allocator, which is deterministic and machine-independent in
-its relative comparisons, unlike OS-level RSS.
+measured, and throughput and latency both come from the median run.
+Peak memory is measured with ``tracemalloc`` (numpy reports its buffers
+to it) over one extra untimed forward: the bytes allocated above what
+was live before that pass, so parameters and other tensors already
+alive do not count.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import gc
 import time
-from dataclasses import dataclass, field
+import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .model import ModelConfig, hydra_forward, transformer_forward
 from .tasks import gen_random_tokens
 from .tensor import UsageError, no_grad
@@ -58,9 +60,8 @@ def measure_throughput(kind: str, config: ModelConfig, params, L: int,
                        n_repeats: int = 5, seed: int = 0) -> BenchRecord:
     """Median-of-repeats forward timing at one sequence length.
 
-    tokens_per_sec is defined over the total measured time
-    (seq_len * n_runs / total_seconds); ms_per_token reports the
-    median single run.
+    tokens_per_sec and ms_per_token both come from the median run;
+    peak_mem_mb is the forward's own peak (see ``_forward_peak_mb``).
     """
     if L > config.max_len:
         raise UsageError(f"L={L} exceeds max_len={config.max_len}")
@@ -70,30 +71,34 @@ def measure_throughput(kind: str, config: ModelConfig, params, L: int,
     for _ in range(2):  # warmup
         _forward_once(kind, tokens, config, params)
     times = []
-    T.reset_peak_memory()
     for _ in range(n_repeats):
         t0 = time.monotonic()
         _forward_once(kind, tokens, config, params)
         times.append(time.monotonic() - t0)
     times = np.array(times)
-    total = float(times.sum())
     med = float(np.median(times))
     return BenchRecord(
         variant=kind, seq_len=L,
-        tokens_per_sec=L * n_repeats / total,
+        tokens_per_sec=L / med,
         ms_per_token=1000.0 * med / L,
-        peak_mem_mb=T.peak_memory_mb(),
+        peak_mem_mb=_forward_peak_mb(kind, tokens, config, params),
         n_repeats=n_repeats,
         stddev=float(times.std()),
     )
 
 
-def measure_peak_memory(kind: str, config: ModelConfig, params, L: int, seed: int = 0) -> float:
-    """Allocator high-water mark (MB) across one forward pass."""
-    tokens = gen_random_tokens(L, config.vocab, seed).tokens
-    T.reset_peak_memory()
-    _forward_once(kind, tokens, config, params)
-    return T.peak_memory_mb()
+def _forward_peak_mb(kind, tokens, config, params) -> float:
+    """Peak bytes (MiB) one forward allocates above the live baseline."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _forward_once(kind, tokens, config, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / 2**20
 
 
 def fit_scaling(records: list[BenchRecord]):

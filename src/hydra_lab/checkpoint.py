@@ -2,7 +2,7 @@
 
 Binary layout (all little-endian):
   magic   8 bytes  b"HYDRALAB"
-  version u32      format version (currently 1)
+  version u32      format version (currently 2)
   meta    u32 len + UTF-8 JSON: {"kind": ..., "config": {...}}
   count   u32      number of parameter records
   record  u32 name len + UTF-8 name
@@ -13,6 +13,7 @@ Binary layout (all little-endian):
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -22,29 +23,43 @@ from .model import ModelConfig, build_hydra, build_transformer
 from .tensor import UsageError
 
 MAGIC = b"HYDRALAB"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(path, kind: str, config: ModelConfig, named_params) -> None:
+    """Write atomically: a temp file in the same directory, then a rename,
+    so a failed save leaves any earlier file at ``path`` as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     meta = json.dumps({"kind": kind, "config": config.to_dict()}).encode("utf-8")
     named_params = list(named_params)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(meta)))
-        f.write(meta)
-        f.write(struct.pack("<I", len(named_params)))
-        for name, p in named_params:
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            dims = p.data.shape
-            f.write(struct.pack("<I", len(dims)))
-            for dim in dims:
-                f.write(struct.pack("<q", dim))
-            f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(struct.pack("<I", len(meta)))
+            f.write(meta)
+            f.write(struct.pack("<I", len(named_params)))
+            for name, p in named_params:
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<I", len(nb)))
+                f.write(nb)
+                dims = p.data.shape
+                f.write(struct.pack("<I", len(dims)))
+                for dim in dims:
+                    f.write(struct.pack("<q", dim))
+                f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already when the rename succeeded
+
+
+def _read(f, n: int, path, what: str) -> bytes:
+    buf = f.read(n)
+    if len(buf) != n:
+        raise UsageError(f"{path}: truncated checkpoint (short read in {what})")
+    return buf
 
 
 def load_checkpoint(path):
@@ -55,20 +70,20 @@ def load_checkpoint(path):
     with open(path, "rb") as f:
         if f.read(8) != MAGIC:
             raise UsageError(f"{path} is not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", _read(f, 4, path, "header"))
         if version != VERSION:
-            raise UsageError(f"unsupported checkpoint version {version}")
-        (mlen,) = struct.unpack("<I", f.read(4))
-        meta = json.loads(f.read(mlen).decode("utf-8"))
-        (count,) = struct.unpack("<I", f.read(4))
+            raise UsageError(f"{path}: unsupported checkpoint version {version} (expected {VERSION})")
+        (mlen,) = struct.unpack("<I", _read(f, 4, path, "header"))
+        meta = json.loads(_read(f, mlen, path, "header").decode("utf-8"))
+        (count,) = struct.unpack("<I", _read(f, 4, path, "header"))
         arrays = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", f.read(4))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<I", f.read(4))
-            dims = struct.unpack(f"<{ndim}q", f.read(8 * ndim)) if ndim else ()
+            (nlen,) = struct.unpack("<I", _read(f, 4, path, "name"))
+            name = _read(f, nlen, path, "name").decode("utf-8")
+            (ndim,) = struct.unpack("<I", _read(f, 4, path, f"dims of {name}"))
+            dims = struct.unpack(f"<{ndim}q", _read(f, 8 * ndim, path, f"dims of {name}"))
             n = int(np.prod(dims)) if dims else 1
-            arrays[name] = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(dims).copy()
+            arrays[name] = np.frombuffer(_read(f, 8 * n, path, f"data of {name}"), dtype="<f8").reshape(dims).copy()
     return meta["kind"], ModelConfig.from_dict(meta["config"]), arrays
 
 

@@ -53,7 +53,6 @@ class ModelConfig:
     sga_window: int = 64
     sga_max_globals: int = 16
     sga_threshold: float = 0.5
-    sga_saliency_bias: bool = True
     ws_slots: int = 32
     ws_active: int = 8
     ws_rank: int = 32
@@ -93,18 +92,19 @@ class ModelConfig:
 @dataclass
 class BlockGates:
     g1: Tensor
-    g2: Tensor
-    g3: Tensor
+    g2: Tensor | None = None     # SGA blocks only
+    g3: Tensor | None = None     # MoE blocks only
 
     @classmethod
-    def initial(cls):
+    def initial(cls, sga: bool, moe: bool):
         # biased toward the recurrent path: attention/experts start silent
-        return cls(g1=Tensor(np.array(1.0), requires_grad=True),
-                   g2=Tensor(np.array(0.0), requires_grad=True),
-                   g3=Tensor(np.array(0.0), requires_grad=True))
+        scalar = lambda v: Tensor(np.array(v), requires_grad=True)
+        return cls(g1=scalar(1.0), g2=scalar(0.0) if sga else None,
+                   g3=scalar(0.0) if moe else None)
 
     def parameters(self):
-        return [("g1", self.g1), ("g2", self.g2), ("g3", self.g3)]
+        return [(n, g) for n, g in (("g1", self.g1), ("g2", self.g2), ("g3", self.g3))
+                if g is not None]
 
 
 @dataclass
@@ -161,10 +161,7 @@ def chunk_summarize(h: Tensor, chunk_size: int) -> Tensor:
 
 
 def route(s_c: Tensor, params: RouterParams, tau: float = 0.5) -> RouterDecision:
-    """All gate families from one routing vector r_c = f_router(s_c)."""
-    squeeze = s_c.data.ndim == 2
-    if squeeze:
-        s_c = T.reshape(s_c, (1,) + s_c.data.shape)
+    """All gate families from one routing vector r_c = f_router(s_c), s_c [B, C, d]."""
     r = T.matmul(T.silu(T.matmul(s_c, params.w1)), params.w2)     # [B, C, m]
     B, C, m = r.data.shape
     full, ids, weights = top2_pairs(T.matmul(r, T.transpose(params.w_moe)))
@@ -283,7 +280,7 @@ def build_hydra(config: ModelConfig) -> HydraParams:
         gain, bias = _ln_pair(d)
         blocks.append(HydraBlockParams(
             ln_gain=gain, ln_bias=bias,
-            gates=BlockGates.initial(),
+            gates=BlockGates.initial(b in sga_ids, b in moe_ids),
             ssm=init_ssm_params(d, rng),
             sga=init_sga_params(d, config.n_heads, config.sga_window, config.sga_max_globals, rng)
             if b in sga_ids else None,
@@ -306,13 +303,14 @@ def hydra_param_count(config: ModelConfig) -> int:
     """Closed-form parameter count (no tensors allocated)."""
     d, V = config.d, config.vocab
     n = V * d + config.max_len * d               # tied embedding + positions
+    sga_ids, moe_ids = set(config.sga_block_ids()), set(config.moe_block_ids())
     for b in range(config.n_blocks):
-        n += 2 * d + 3                           # block LN + gates
+        n += 2 * d + 1                           # block LN + g1
         n += d + 3 * d * d                       # ssm decay + projections
-        if b in set(config.sga_block_ids()):
-            n += 4 * d * d + d                   # qkvo + saliency
-        if b in set(config.moe_block_ids()):
-            n += config.n_experts * 3 * d * config.moe_hidden
+        if b in sga_ids:
+            n += 4 * d * d + d + 1               # qkvo + saliency + g2
+        if b in moe_ids:
+            n += config.n_experts * 3 * d * config.moe_hidden + 1   # experts + g3
     m, E = config.routing_dim, config.n_experts
     n += d * m + m * m + E * m + 3 * m           # router
     S, r = config.ws_slots, config.ws_rank
@@ -377,8 +375,8 @@ def tri_path_block(x: Tensor, bp: HydraBlockParams, decision: RouterDecision,
                    ablate: frozenset = frozenset(), explore_rng=None) -> Tensor:
     """y = x + g1*SSM(LN x) + g2*SGA(LN x) + g3*MoE(LN x).
 
-    Unscheduled paths (no params in this block) and hard-gated-off SGA
-    contribute exactly zero.
+    A block has g2/g3 only where its SGA/MoE path is scheduled; other
+    paths, and SGA hard-gated off, contribute exactly zero.
     """
     u = T.layer_norm(x, bp.ln_gain, bp.ln_bias, 1e-5)
     tok_chunk = _tok_chunk_map(x.data.shape[-2], config.chunk_size)
@@ -395,16 +393,11 @@ def tri_path_block(x: Tensor, bp: HydraBlockParams, decision: RouterDecision,
                 gate_tok = Tensor(np.take_along_axis(
                     on.astype(float), np.broadcast_to(tok_chunk, (on.shape[0], tok_chunk.size)), axis=1))
         if run:
-            B, L, d = u.data.shape
+            B, L, _ = u.data.shape
             explore = None
             if train_mode and explore_rng is not None:
                 explore = explore_rng.integers(0, L, size=(B, min(bp.sga.max_globals, L)))
-            bias = None
-            if config.sga_saliency_bias:
-                bias = T.reshape(T.matmul(u, T.reshape(bp.sga.saliency_proj, (d, 1))), (B, L))
-            # globals re-selected per query block over the causal prefix
-            attn = sga_forward(u, bp.sga, "causal", saliency_bias=bias,
-                               block_size=config.attn_block, explore=explore)
+            attn = sga_forward(u, bp.sga, block_size=config.attn_block, explore=explore)
             gated = T.mul(T.reshape(gate_tok, gate_tok.data.shape + (1,)), attn)
             y = T.add(y, T.mul(bp.gates.g2, gated))
 
@@ -498,17 +491,17 @@ def transformer_forward(tokens, config: ModelConfig, params: TransformerParams,
     squeeze = tokens.ndim == 1
     if squeeze:
         tokens = tokens[None, :]
-    B, L = tokens.shape
+    L = tokens.shape[1]
     if L > config.max_len:
         raise UsageError(f"sequence length {L} exceeds max_len {config.max_len}")
     if tokens.min() < 0 or tokens.max() >= config.vocab:
         raise UsageError("token id outside vocabulary")
 
     h = T.add(T.gather_rows(params.embedding, tokens), params.positions[:L])
-    empty = np.zeros((B, 0), dtype=np.int64)
     for bp in params.blocks:
         u = T.layer_norm(h, bp.ln1_gain, bp.ln1_bias, 1e-5)
-        h = T.add(h, sga_forward(u, bp.attn, empty, block_size=config.attn_block))
+        # window = max_len and no globals: dense causal attention
+        h = T.add(h, sga_forward(u, bp.attn, block_size=config.attn_block))
         u = T.layer_norm(h, bp.ln2_gain, bp.ln2_bias, 1e-5)
         h = T.add(h, T.matmul(T.silu(T.matmul(u, bp.ffn_in)), bp.ffn_out))
 

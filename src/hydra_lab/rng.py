@@ -16,8 +16,3 @@ def substream(seed: int, name: str) -> np.random.Generator:
     """Deterministic generator for (seed, stream-name)."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), zlib.crc32(name.encode("utf-8"))]))
 
-
-def sample_seeds(seed: int, name: str, n: int) -> list[int]:
-    """n stable per-item seeds drawn from a named substream."""
-    rng = substream(seed, name)
-    return [int(s) for s in rng.integers(0, 2**31 - 1, size=n)]

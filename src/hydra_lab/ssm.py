@@ -49,11 +49,10 @@ def init_ssm_params(d: int, rng: np.random.Generator) -> SsmLayerParams:
     )
 
 
-def diag_recurrence(a: Tensor, u: Tensor, h0: Tensor | None = None) -> Tensor:
-    """h_t = a * h_{t-1} + (1-a) * u_t along the second-to-last axis.
+def diag_recurrence(a: Tensor, u: Tensor) -> Tensor:
+    """h_t = a * h_{t-1} + (1-a) * u_t along the second-to-last axis, h_{-1} = 0.
 
-    a is [d]; u is [..., L, d]; h0, when given, is [..., d] (zero
-    otherwise). Returns the full state trajectory [..., L, d].
+    a is [d]; u is [..., L, d]. Returns the full state trajectory [..., L, d].
     """
     ad, ud = a.data, u.data
     if ud.ndim < 2:
@@ -63,13 +62,10 @@ def diag_recurrence(a: Tensor, u: Tensor, h0: Tensor | None = None) -> Tensor:
     L = ud.shape[-2]
     one_minus = 1.0 - ad
     h = np.empty_like(ud)
-    h0d = None if h0 is None else h0.data
-    prev = np.zeros(ud.shape[:-2] + ud.shape[-1:]) if h0d is None else h0d
+    prev = np.zeros(ud.shape[:-2] + ud.shape[-1:])
     for t in range(L):
         prev = ad * prev + one_minus * ud[..., t, :]
         h[..., t, :] = prev
-
-    inputs = (a, u) if h0 is None else (a, u, h0)
 
     def bwd(g):
         gu = np.empty_like(ud)
@@ -79,39 +75,19 @@ def diag_recurrence(a: Tensor, u: Tensor, h0: Tensor | None = None) -> Tensor:
         for t in range(L - 1, -1, -1):
             gt = g[..., t, :] + ad * carry
             gu[..., t, :] = one_minus * gt
-            if t > 0:
-                hprev = h[..., t - 1, :]
-            elif h0d is not None:
-                hprev = h0d
-            else:
-                hprev = 0.0
+            hprev = h[..., t - 1, :] if t > 0 else 0.0
             contrib = gt * (hprev - ud[..., t, :])
             ga += contrib.sum(axis=batch_axes) if batch_axes else contrib
             carry = gt
-        gh0 = ad * carry
-        if h0 is None:
-            return ga, gu
-        return ga, gu, gh0
+        return ga, gu
 
-    return T._make_output(h, inputs, bwd, "diag_recurrence")
+    return T._make_output(h, (a, u), bwd, "diag_recurrence")
 
 
 def ssm_scan(x: Tensor, params: SsmLayerParams) -> Tensor:
     """Full-layer scan from a zero initial state: x [..., L, d] -> y."""
-    y, _ = ssm_state_carry(params, x, None)
-    return y
-
-
-def ssm_state_carry(params: SsmLayerParams, x: Tensor, h_init: Tensor | None):
-    """Scan with an explicit carried-in state.
-
-    Returns (y, h_final); splitting a sequence anywhere and carrying
-    h_final reproduces the unsplit scan.
-    """
     a = T.sigmoid(params.decay_logits)
     u = T.matmul(x, params.input_proj)
-    h = diag_recurrence(a, u, h_init)
+    h = diag_recurrence(a, u)
     gate = T.silu(T.matmul(x, params.gate_proj))
-    y = T.mul(T.matmul(h, params.output_proj), gate)
-    h_final = h[..., -1, :]
-    return y, h_final
+    return T.mul(T.matmul(h, params.output_proj), gate)

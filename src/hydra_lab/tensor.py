@@ -4,7 +4,8 @@ A deliberately small define-by-run engine: every forward op appends one
 entry to a global tape, and ``backward`` replays the tape in reverse.
 All storage is row-major float64. Broadcasting is numpy's trailing-dim
 alignment only. Every op checks its output for NaN/Inf, so overflow is
-an error rather than a silent value.
+an error rather than a silent value. A failed op and a finished or
+failed ``backward`` both leave the tape empty.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ class UsageError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# allocation accounting (used by the benchmark harness for peak-memory)
+# allocation accounting (read by `perfbench/run.py --trace 1` as
+# tensor.alloc_counter_peak_mb; it counts views as new memory)
 
 class _AllocStats:
     __slots__ = ("current_bytes", "peak_bytes")
@@ -109,10 +111,6 @@ class no_grad:
         global _GRAD_ENABLED
         _GRAD_ENABLED = self._prev
         return False
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +221,16 @@ def as_tensor(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # op plumbing
 
+def _numeric_error(msg: str) -> NumericError:
+    """The error of a failed op. Clears the tape, so the ops the failed
+    forward recorded cannot reach a later backward."""
+    _TAPE.clear()
+    return NumericError(msg)
+
+
 def _check_finite(arr: np.ndarray, name: str):
     if not np.isfinite(arr).all():
-        raise NumericError(f"op '{name}' produced non-finite values")
+        raise _numeric_error(f"op '{name}' produced non-finite values")
 
 
 def _make_output(arr: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable, name: str) -> Tensor:
@@ -329,7 +334,7 @@ def exp(x) -> Tensor:
         try:
             out = np.exp(x.data)
         except FloatingPointError:
-            raise NumericError("exp overflow") from None
+            raise _numeric_error("exp overflow") from None
     e = out
 
     def bwd(g):
@@ -341,7 +346,7 @@ def exp(x) -> Tensor:
 def log(x) -> Tensor:
     x = as_tensor(x)
     if np.any(x.data <= 0):
-        raise NumericError("log domain violation: input must be positive")
+        raise _numeric_error("log domain violation: input must be positive")
     out = np.log(x.data)
     xd = x.data
 
@@ -626,39 +631,42 @@ def backward(loss: Tensor):
     """Reverse-mode sweep from a scalar ``loss`` over the active tape.
 
     Populates ``.grad`` (additively) on every requires_grad leaf that
-    contributed to the loss, then clears the tape.
+    contributed to the loss, then clears the tape, also when a backward
+    rule raises.
     """
     if not isinstance(loss, Tensor):
         raise UsageError("backward expects a Tensor")
     if loss.data.size != 1:
         raise UsageError("backward expects a scalar loss")
-    # grad_map values are (array, owned); in-place accumulation only on
-    # arrays this sweep allocated, since backward rules may alias inputs
-    grad_map: dict[int, list] = {loss.node_id: [np.ones_like(loss.data), True]}
-    for op in reversed(_TAPE):
-        entry = grad_map.pop(op.output.node_id, None)
-        if entry is None:
-            continue
-        grads = op.backward_fn(entry[0])
-        for t, gt in zip(op.inputs, grads):
-            if gt is None or not t.requires_grad:
+    try:
+        # grad_map values are (array, owned); in-place accumulation only on
+        # arrays this sweep allocated, since backward rules may alias inputs
+        grad_map: dict[int, list] = {loss.node_id: [np.ones_like(loss.data), True]}
+        for op in reversed(_TAPE):
+            entry = grad_map.pop(op.output.node_id, None)
+            if entry is None:
                 continue
-            gt = np.asarray(gt, dtype=np.float64)
-            if t._is_leaf:
-                if t.grad is None:
-                    t.grad = gt.copy()
+            grads = op.backward_fn(entry[0])
+            for t, gt in zip(op.inputs, grads):
+                if gt is None or not t.requires_grad:
+                    continue
+                gt = np.asarray(gt, dtype=np.float64)
+                if t._is_leaf:
+                    if t.grad is None:
+                        t.grad = gt.copy()
+                    else:
+                        t.grad += gt
                 else:
-                    t.grad += gt
-            else:
-                acc = grad_map.get(t.node_id)
-                if acc is None:
-                    grad_map[t.node_id] = [gt, False]
-                elif acc[1]:
-                    acc[0] += gt
-                else:
-                    acc[0] = acc[0] + gt
-                    acc[1] = True
-    _TAPE.clear()
+                    acc = grad_map.get(t.node_id)
+                    if acc is None:
+                        grad_map[t.node_id] = [gt, False]
+                    elif acc[1]:
+                        acc[0] += gt
+                    else:
+                        acc[0] = acc[0] + gt
+                        acc[1] = True
+    finally:
+        _TAPE.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,6 @@ Chunk summaries are written into the active slots by low-rank cross
 attention, one round per chunk; the tokens of each chunk read the slot
 state written from strictly earlier chunks through a separate low-rank
 path, gated per token by an interpolation weight in [0, 1].
-At segment boundaries the active slots are pooled into carry-over
-slots and the rest reset to their learned initial embeddings.
 """
 
 from __future__ import annotations
@@ -29,7 +27,9 @@ class WorkspaceParams:
     w_kr: Tensor
     w_vr: Tensor
     w_or: Tensor                    # [r, d]
-    pool_queries: Tensor            # [S_active, r] segment-compression queries
+    # allocated but unused (nothing pools slots across segments): dropping
+    # them would shift the init stream of every parameter drawn after them
+    pool_queries: Tensor            # [S_active, r]
     w_kp: Tensor
     w_vp: Tensor
     w_op: Tensor                    # [r, d]
@@ -41,18 +41,6 @@ class WorkspaceParams:
         names = ["init_slots", "w_qw", "w_kw", "w_vw", "w_ow", "w_qr", "w_kr",
                  "w_vr", "w_or", "pool_queries", "w_kp", "w_vp", "w_op"]
         return [(n, getattr(self, n)) for n in names]
-
-
-@dataclass
-class Workspace:
-    slots: Tensor                   # [S_total, d] or [B, S_total, d]
-    params: WorkspaceParams
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        m = np.zeros(self.params.s_total, dtype=bool)
-        m[: self.params.s_active] = True
-        return m
 
 
 def init_workspace_params(d, s_total, s_active, rank, rng) -> WorkspaceParams:
@@ -68,13 +56,6 @@ def init_workspace_params(d, s_total, s_active, rank, rng) -> WorkspaceParams:
         pool_queries=mk(s_active, rank, 1.0), w_kp=mk(d, rank, scale), w_vp=mk(d, rank, scale), w_op=mk(rank, d, rscale),
         s_total=s_total, s_active=s_active, rank=rank,
     )
-
-
-def _split_active(ws: Workspace):
-    sa = ws.params.s_active
-    if ws.slots.data.ndim == 2:
-        return ws.slots[:sa], ws.slots[sa:]
-    return ws.slots[:, :sa], ws.slots[:, sa:]
 
 
 def workspace_write(summaries: Tensor, params: WorkspaceParams) -> Tensor:
@@ -130,30 +111,3 @@ def workspace_read(h: Tensor, slots: Tensor, beta: Tensor, params: WorkspacePara
     if pad:
         read = read[:, :L]
     return T.add(h, T.mul(T.reshape(beta, (B, L, 1)), read))
-
-
-def compress_segment(ws: Workspace) -> Workspace:
-    """Pool the active slots into carry-over slots; reset the rest."""
-    p = ws.params
-    active, _ = _split_active(ws)
-    k = T.matmul(active, p.w_kp)
-    v = T.matmul(active, p.w_vp)
-    pq = p.pool_queries
-    if ws.slots.data.ndim == 3:
-        B = ws.slots.data.shape[0]
-        pq = T.add(T.reshape(pq, (1,) + pq.data.shape), Tensor(np.zeros((B, 1, 1))))
-    scores = T.matmul(pq, T.transpose(k, _swap(k))) * (1.0 / np.sqrt(p.rank))
-    carry = T.matmul(T.matmul(T.softmax(scores, axis=-1), v), p.w_op)  # [.., S_a, d]
-    rest = p.init_slots[p.s_active:]
-    if ws.slots.data.ndim == 3:
-        B = ws.slots.data.shape[0]
-        rest = T.add(T.reshape(rest, (1,) + rest.data.shape), Tensor(np.zeros((B, 1, 1))))
-        return Workspace(slots=T.concat([carry, rest], axis=1), params=p)
-    return Workspace(slots=T.concat([carry, rest], axis=0), params=p)
-
-
-def _swap(x: Tensor):
-    n = x.data.ndim
-    axes = list(range(n))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)

@@ -3,16 +3,11 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from hydra_lab import tensor as T
-from hydra_lab.attention import (
-    GlobalTokenSet,
-    SgaLayerParams,
-    init_sga_params,
-    select_globals,
-    sga_cost,
-    sga_forward,
-)
-from hydra_lab.tensor import Tensor, UsageError, no_grad
+from hydra_lab.attention import SgaLayerParams, _prefix_topk, init_sga_params, sga_cost, sga_forward
+from hydra_lab.tensor import Tensor, no_grad
 
 
 def dense_causal_oracle(h, params):
@@ -32,41 +27,44 @@ def dense_causal_oracle(h, params):
     return out @ params.out_proj.data
 
 
+def run(h, params, **kw):
+    """sga_forward on one [L, d] sequence, under no_grad; returns [L, d]."""
+    with no_grad():
+        return sga_forward(Tensor(h[None]), params, **kw).data[0]
+
+
 @pytest.fixture
 def params():
     return init_sga_params(d=16, n_heads=4, window=4, max_globals=4, rng=np.random.default_rng(0))
 
 
 class TestSelectGlobals:
+    """The per-block selection rule: top-K saliency within the causal prefix."""
+
     def test_k_equals_l(self):
         rng = np.random.default_rng(1)
-        h = rng.normal(size=(8, 16))
-        gs = select_globals(h, Tensor(rng.normal(size=16)), K=8)
-        np.testing.assert_array_equal(gs.indices, np.arange(8))
+        scores = rng.normal(size=16)
+        np.testing.assert_array_equal(_prefix_topk(scores, 8, 8), np.arange(8))
 
     def test_spike_selected_first(self):
         h = np.zeros((10, 4))
         h[7] = [5.0, 0, 0, 0]
-        gs = select_globals(h, Tensor([1.0, 0, 0, 0]), K=1)
-        assert gs.indices.tolist() == [7]
+        assert _prefix_topk(h @ np.array([1.0, 0, 0, 0]), 10, 1).tolist() == [7]
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(2)
-        h = rng.normal(size=(32, 16))
-        proj = rng.normal(size=16)
-        gs = select_globals(h, Tensor(proj), K=4)
-        scores = h @ proj
-        expected = np.sort(np.argsort(-scores, kind="stable")[:4])
-        np.testing.assert_array_equal(gs.indices, expected)
+        scores = rng.normal(size=(32, 16)) @ rng.normal(size=16)
+        for hi in (5, 20, 32):
+            expected = np.sort(np.argsort(-scores[:hi], kind="stable")[:4])
+            np.testing.assert_array_equal(_prefix_topk(scores, hi, 4), expected)
 
     def test_tie_break_lower_index(self):
-        h = np.ones((6, 2))
-        gs = select_globals(h, Tensor([1.0, 0.0]), K=3)
-        np.testing.assert_array_equal(gs.indices, [0, 1, 2])
+        np.testing.assert_array_equal(_prefix_topk(np.ones(6), 6, 3), [0, 1, 2])
 
     def test_k_too_large(self):
-        with pytest.raises(UsageError):
-            select_globals(np.zeros((3, 2)), Tensor([1.0, 0.0]), K=4)
+        # a prefix shorter than K contributes all of its positions
+        np.testing.assert_array_equal(_prefix_topk(np.arange(9.0), 3, 4), [0, 1, 2])
+        assert _prefix_topk(np.arange(9.0), 0, 4).size == 0
 
 
 class TestDenseEquivalence:
@@ -75,97 +73,93 @@ class TestDenseEquivalence:
         rng = np.random.default_rng(L)
         params = init_sga_params(d=16, n_heads=4, window=max(L, 1), max_globals=0, rng=rng)
         h = rng.normal(size=(L, 16))
-        with no_grad():
-            out = sga_forward(Tensor(h), params, GlobalTokenSet(np.empty(0, int), np.empty(0)))
-        np.testing.assert_allclose(out.data, dense_causal_oracle(h, params), atol=1e-10)
+        np.testing.assert_allclose(run(h, params), dense_causal_oracle(h, params), atol=1e-10)
 
     def test_full_window_with_globals_still_dense(self):
-        # globals inside the window add no new reachable positions
+        # with the window covering the prefix there is nothing left to
+        # select: globals and explore positions add no reachable position
         rng = np.random.default_rng(99)
         params = init_sga_params(d=16, n_heads=2, window=64, max_globals=4, rng=rng)
         h = rng.normal(size=(48, 16))
-        gs = select_globals(h, params.saliency_proj, K=4)
-        with no_grad():
-            out = sga_forward(Tensor(h), params, gs)
-        np.testing.assert_allclose(out.data, dense_causal_oracle(h, params), atol=1e-10)
+        out = run(h, params, block_size=16, explore=np.array([[3, 20, 40]]))
+        np.testing.assert_allclose(out, dense_causal_oracle(h, params), atol=1e-10)
 
     def test_blocking_invariance(self, params):
-        rng = np.random.default_rng(3)
-        h = rng.normal(size=(70, 16))
-        gs = select_globals(h, params.saliency_proj, K=3)
-        with no_grad():
-            a = sga_forward(Tensor(h), params, gs, block_size=16)
-            b = sga_forward(Tensor(h), params, gs, block_size=512)
-        np.testing.assert_allclose(a.data, b.data, atol=1e-12)
+        # exact only without globals: selection is per query block
+        windowed = replace(params, max_globals=0)
+        h = np.random.default_rng(3).normal(size=(70, 16))
+        np.testing.assert_allclose(run(h, windowed, block_size=16), run(h, windowed, block_size=512),
+                                   atol=1e-12)
 
     def test_batched_matches_single(self, params):
         rng = np.random.default_rng(4)
         hb = rng.normal(size=(3, 40, 16))
-        gidx = np.stack([np.array([2, 11, 30, 35]), np.array([0, 1, 2, 3]), np.array([5, 6, 20, 39])])
+        # explore positions give the rows different global counts per block,
+        # so short rows are padded and masked
+        explore = np.stack([np.array([2, 11, 30, 35]), np.array([0, 1, 2, 3]), np.array([5, 6, 20, 39])])
         with no_grad():
-            out_b = sga_forward(Tensor(hb), params, gidx, block_size=16).data
-            for b in range(3):
-                out_1 = sga_forward(Tensor(hb[b]), params,
-                                    GlobalTokenSet(gidx[b], np.zeros(4)), block_size=16).data
-                np.testing.assert_allclose(out_b[b], out_1, atol=1e-12)
+            out_b = sga_forward(Tensor(hb), params, block_size=8, explore=explore).data
+        for b in range(3):
+            out_1 = run(hb[b], params, block_size=8, explore=explore[b:b + 1])
+            np.testing.assert_allclose(out_b[b], out_1, atol=1e-12)
 
 
 class TestSingleToken:
     def test_l1_self_attention(self, params):
-        rng = np.random.default_rng(5)
-        h = rng.normal(size=(1, 16))
-        with no_grad():
-            out = sga_forward(Tensor(h), params, GlobalTokenSet(np.empty(0, int), np.empty(0)))
+        h = np.random.default_rng(5).normal(size=(1, 16))
         expected = (h @ params.v_proj.data) @ params.out_proj.data
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(run(h, params), expected, atol=1e-12)
 
 
 class TestGlobalReach:
     def test_distant_global_contributes(self):
         # premise outside the window, reachable only as a global token
         rng = np.random.default_rng(6)
-        params = init_sga_params(d=16, n_heads=2, window=8, max_globals=1, rng=rng)
+        params = init_sga_params(d=16, n_heads=2, window=8, max_globals=0, rng=rng)
         h = rng.normal(size=(64, 16))
-        premise = 10
-        gs = GlobalTokenSet(np.array([premise]), np.array([1.0]))
-        with no_grad():
-            out_with = sga_forward(Tensor(h), params, gs)
-            out_without = sga_forward(Tensor(h), params, GlobalTokenSet(np.empty(0, int), np.empty(0)))
+        premise = np.array([[10]])
+        out_with = run(h, params, block_size=1, explore=premise)
+        out_without = run(h, params, block_size=1)
         # final token sits ~54 positions past the premise: only the
         # global route can move its value there
-        assert np.abs(out_with.data[-1] - out_without.data[-1]).max() > 1e-8
+        assert np.abs(out_with[-1] - out_without[-1]).max() > 1e-8
         h2 = h.copy()
-        h2[premise] += 1.0
-        with no_grad():
-            out_pert = sga_forward(Tensor(h2), params, gs)
-        assert np.abs(out_pert.data[-1] - out_with.data[-1]).max() > 1e-8
+        h2[10] += 1.0
+        assert np.abs(run(h2, params, block_size=1, explore=premise)[-1] - out_with[-1]).max() > 1e-8
+        np.testing.assert_array_equal(run(h2, params, block_size=1)[-1], out_without[-1])
+
+    def test_salient_spike_reaches_last_token(self):
+        rng = np.random.default_rng(12)
+        params = init_sga_params(d=16, n_heads=2, window=8, max_globals=2, rng=rng)
+        sal = params.saliency_proj.data
+        h = rng.normal(size=(64, 16))
+        h[10] += 6.0 * sal / np.linalg.norm(sal)
+        h2 = h.copy()
+        h2[10] += 0.5
+        moved = np.abs(run(h2, params, block_size=8)[-1] - run(h, params, block_size=8)[-1]).max()
+        assert moved > 1e-8
+        windowed = replace(params, max_globals=0)
+        np.testing.assert_array_equal(run(h2, windowed, block_size=8)[-1], run(h, windowed, block_size=8)[-1])
 
     def test_no_double_counting_when_global_in_window(self):
         rng = np.random.default_rng(7)
-        params = init_sga_params(d=8, n_heads=2, window=6, max_globals=1, rng=rng)
+        params = init_sga_params(d=8, n_heads=2, window=6, max_globals=0, rng=rng)
         h = rng.normal(size=(12, 8))
-        # global at 10 is within the window of token 11
-        gs = GlobalTokenSet(np.array([10]), np.array([0.0]))
-        with no_grad():
-            out = sga_forward(Tensor(h), params, gs)
-            ref = sga_forward(Tensor(h), params, GlobalTokenSet(np.empty(0, int), np.empty(0)))
-        np.testing.assert_allclose(out.data[11], ref.data[11], atol=1e-12)
+        # position 10 is within the window of token 11
+        out = run(h, params, block_size=1, explore=np.array([[10]]))
+        ref = run(h, params, block_size=1)
+        np.testing.assert_allclose(out[11], ref[11], atol=1e-12)
 
 
 class TestCausality:
     def test_future_perturbation_invisible(self, params):
         rng = np.random.default_rng(8)
         h = rng.normal(size=(40, 16))
-        gs = select_globals(h, params.saliency_proj, K=4)
-        with no_grad():
-            base = sga_forward(Tensor(h), params, gs).data
+        base = run(h, params, block_size=4)
         for t in [5, 17, 33]:
             h2 = h.copy()
             h2[t] += rng.normal(size=16)
-            gs2 = GlobalTokenSet(gs.indices, gs.scores)  # hold selection fixed
-            with no_grad():
-                pert = sga_forward(Tensor(h2), params, gs2).data
-            np.testing.assert_allclose(pert[:t], base[:t], atol=1e-12)
+            np.testing.assert_allclose(run(h2, params, block_size=4)[:t], base[:t], atol=1e-12)
 
     def test_row_weights_sum_to_one(self, params):
         # probabilities are normalized inside; verify through a constant-v probe
@@ -177,33 +171,37 @@ class TestCausality:
             v_proj=Tensor(np.eye(d)),
             out_proj=Tensor(np.eye(d)),
             n_heads=4, window=4, max_globals=2,
+            saliency_proj=Tensor(rng.normal(size=d)),
         )
-        ones = np.ones((30, d))
-        gs = GlobalTokenSet(np.array([1, 3]), np.zeros(2))
-        with no_grad():
-            out = sga_forward(Tensor(ones), probe, gs)
-        np.testing.assert_allclose(out.data, 1.0, atol=1e-9)
+        out = run(np.ones((30, d)), probe, block_size=4)
+        np.testing.assert_allclose(out, 1.0, atol=1e-9)
 
 
 class TestGradients:
     def test_grad_through_attention(self):
         rng = np.random.default_rng(10)
         params = init_sga_params(d=8, n_heads=2, window=3, max_globals=2, rng=rng)
-        h = Tensor(rng.normal(size=(10, 8)), requires_grad=True)
-        gs = GlobalTokenSet(np.array([0, 4]), np.zeros(2))
-        rep = T.grad_check(lambda t: T.tsum(sga_forward(t, params, gs)), h, h=1e-5, tol=1e-4)
+        h = Tensor(rng.normal(size=(1, 10, 8)), requires_grad=True)
+        rep = T.grad_check(lambda t: T.tsum(sga_forward(t, params, block_size=2)), h, h=1e-5, tol=1e-4)
         assert rep.passed, rep
 
     def test_saliency_bias_receives_grad(self):
+        # the selection score also biases the global columns' logits,
+        # which is the saliency projection's only gradient path
         rng = np.random.default_rng(11)
         params = init_sga_params(d=8, n_heads=2, window=3, max_globals=2, rng=rng)
-        h = Tensor(rng.normal(size=(12, 8)))
-        gs = GlobalTokenSet(np.array([0, 4]), np.zeros(2))
-        sal = T.matmul(h, T.reshape(params.saliency_proj, (8, 1)))
-        loss = T.tsum(sga_forward(h, params, gs, saliency_bias=T.reshape(sal, (12,))))
-        T.backward(loss)
-        assert params.saliency_proj.grad is not None
+        h = Tensor(rng.normal(size=(1, 12, 8)))
+        T.backward(T.tsum(sga_forward(h, params, block_size=2)))
         assert np.abs(params.saliency_proj.grad).max() > 0
+        rep = T.grad_check(lambda sp: T.tsum(sga_forward(h, replace(params, saliency_proj=sp), block_size=2)),
+                           params.saliency_proj, h=1e-5, tol=1e-4)
+        assert rep.passed, rep
+
+    def test_windowed_only_needs_no_saliency(self, params):
+        # max_globals == 0 and no explore: no score, no selection
+        windowed = replace(params, max_globals=0, saliency_proj=None)
+        h = np.random.default_rng(13).normal(size=(20, 16))
+        np.testing.assert_array_equal(run(h, windowed, block_size=4), run(h, replace(params, max_globals=0), block_size=4))
 
 
 class TestCost:

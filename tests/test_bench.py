@@ -43,9 +43,8 @@ class TestMeasure:
         cfg = tiny_cfg()
         params = build_hydra(cfg)
         r = measure_throughput("hydra", cfg, params, 64, n_repeats=3)
-        # tokens_per_sec = L * n / total within rounding: implied total
-        total = r.seq_len * r.n_repeats / r.tokens_per_sec
-        assert total > 0
+        # both rates come from the same median run
+        assert r.tokens_per_sec * r.ms_per_token == pytest.approx(1000.0, rel=1e-12)
 
     def test_repeat_stability(self):
         cfg = tiny_cfg()
@@ -131,24 +130,27 @@ class TestEmitReport:
 
 
 class TestPeakMemory:
-    def test_doubling_d_doubles_peak(self):
-        # at moderate width the d^2 projection buffers dominate, so
-        # doubling d should at least double the high-water mark
-        from hydra_lab.bench import measure_peak_memory
+    """peak_mem_mb is the real bytes one forward allocates (tracemalloc)."""
 
-        base = ModelConfig.from_dict({**tiny_cfg().to_dict(), "d": 64, "pkm_dv": 64,
-                                      "moe_hidden": 128, "n_heads": 4})
-        big_d = ModelConfig.from_dict({**base.to_dict(), "d": 128, "pkm_dv": 128,
-                                       "moe_hidden": 256})
-        p1 = build_hydra(base)
-        m1 = measure_peak_memory("hydra", base, p1, 128)
-        del p1
-        p2 = build_hydra(big_d)
-        m2 = measure_peak_memory("hydra", big_d, p2, 128)
+    def test_doubling_l_doubles_peak(self):
+        # at d=64 the forward's activations dominate; within one 256-query
+        # attention block the score buffers grow with L^2, so doubling L
+        # should at least double the forward's peak
+        cfg = ModelConfig.from_dict({**tiny_cfg().to_dict(), "d": 64, "pkm_dv": 64,
+                                     "moe_hidden": 128, "n_heads": 4})
+        params = build_hydra(cfg)
+        m1 = measure_throughput("hydra", cfg, params, 128, n_repeats=3).peak_mem_mb
+        m2 = measure_throughput("hydra", cfg, params, 256, n_repeats=3).peak_mem_mb
+        assert m1 > 0.5
         assert m2 / m1 >= 1.9
 
     def test_empty_model_near_zero(self):
-        from hydra_lab import tensor as T
-
-        T.reset_peak_memory()
-        assert T.peak_memory_mb() < 2000  # just live params from other tests
+        # a one-token forward allocates next to nothing, however large
+        # the parameters that were alive before it
+        cfg = ModelConfig.from_dict({**tiny_cfg().to_dict(), "d": 128, "pkm_dv": 128,
+                                     "moe_hidden": 256, "n_heads": 4})
+        params = build_hydra(cfg)
+        param_mb = sum(p.data.nbytes for _, p in params.parameters()) / 2**20
+        peak = measure_throughput("hydra", cfg, params, 1, n_repeats=3).peak_mem_mb
+        assert param_mb > 3.0
+        assert 0 < peak < 0.1 * param_mb

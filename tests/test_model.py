@@ -27,6 +27,7 @@ from hydra_lab.model import (
 from hydra_lab.moe import chunk_spans
 from hydra_lab.rng import substream
 from hydra_lab.tensor import Tensor, UsageError, backward, no_grad
+from hydra_lab.training import lm_loss
 
 
 def tiny_config(**kw):
@@ -37,6 +38,14 @@ def tiny_config(**kw):
                 sga_blocks=[1], moe_blocks=[0, 1])
     base.update(kw)
     return ModelConfig(**base)
+
+
+def open_gates(params, g2, g3):
+    """Set the SGA/MoE gates of the blocks that schedule those paths."""
+    for bp in params.blocks:
+        for gate, value in ((bp.gates.g2, g2), (bp.gates.g3, g3)):
+            if gate is not None:
+                gate.data[...] = value
 
 
 class TestChunkSummarize:
@@ -71,7 +80,7 @@ class TestRoute:
     def test_zero_sga_head_gives_half(self):
         cfg = tiny_config()
         router = init_router(cfg, substream(0, "t"))
-        s_c = Tensor(np.random.default_rng(3).normal(size=(3, cfg.d)))
+        s_c = Tensor(np.random.default_rng(3).normal(size=(1, 3, cfg.d)))
         dec = route(s_c, router, tau=0.5)
         np.testing.assert_allclose(dec.p_sga.data, 0.5, atol=1e-12)
         assert not dec.sga_on.any()  # 0.5 > 0.5 is false
@@ -79,7 +88,7 @@ class TestRoute:
     def test_zero_mem_heads_give_half_beta(self):
         cfg = tiny_config()
         router = init_router(cfg, substream(1, "t"))
-        dec = route(Tensor(np.random.default_rng(4).normal(size=(2, cfg.d))), router)
+        dec = route(Tensor(np.random.default_rng(4).normal(size=(1, 2, cfg.d))), router)
         np.testing.assert_allclose(dec.beta_ws.data, 0.5, atol=1e-12)
         np.testing.assert_allclose(dec.beta_pkm.data, 0.5, atol=1e-12)
 
@@ -87,7 +96,7 @@ class TestRoute:
         cfg = tiny_config()
         router = init_router(cfg, substream(2, "t"))
         router.w_sga.data[:] = np.random.default_rng(5).normal(size=cfg.routing_dim)
-        s_c = Tensor(np.random.default_rng(6).normal(size=(4, cfg.d)))
+        s_c = Tensor(np.random.default_rng(6).normal(size=(1, 4, cfg.d)))
         dec = route(s_c, router)
         r = dec.r_c.data[0]
         p = 1 / (1 + np.exp(-(r @ router.w_sga.data)))
@@ -169,8 +178,7 @@ class TestTriPathBlock:
             from hydra_lab.ssm import ssm_scan
 
             p1 = ssm_scan(u, bp.ssm)
-            bias = T.reshape(T.matmul(u, T.reshape(bp.sga.saliency_proj, (self.cfg.d, 1))), (1, 12))
-            p2 = sga_forward(u, bp.sga, "causal", saliency_bias=bias)
+            p2 = sga_forward(u, bp.sga, block_size=self.cfg.attn_block)
             p3 = moe_apply(u, bp.moe, decision.expert_ids, decision.expert_weights)
             expected = self.x.data + 0.7 * p1.data + 0.3 * p2.data + 0.5 * p3.data
         np.testing.assert_allclose(y.data, expected, atol=1e-12)
@@ -200,10 +208,7 @@ class TestHydraForward:
     def test_causality_perturbation(self):
         cfg = tiny_config()
         params = build_hydra(cfg)
-        # open all gates so every path is exercised
-        for bp in params.blocks:
-            bp.gates.g2.data[...] = 0.5
-            bp.gates.g3.data[...] = 0.5
+        open_gates(params, 0.5, 0.5)  # every path is exercised
         params.router.w_sga.data[:] = 10.0
         rng = np.random.default_rng(9)
         toks = rng.integers(0, cfg.vocab, size=20)
@@ -318,6 +323,14 @@ class TestParameterMatch:
         nt = count_params(params.parameters())
         assert abs(nh - nt) / nt <= 0.05
 
+    def test_gates_only_on_scheduled_paths(self):
+        cfg = tiny_config(n_blocks=3, sga_blocks=[1], moe_blocks=[1, 2])
+        named = build_hydra(cfg).parameters()
+        gates = sorted(n for n, _ in named if ".gates." in n)
+        assert gates == ["blocks.0.gates.g1", "blocks.1.gates.g1", "blocks.1.gates.g2",
+                         "blocks.1.gates.g3", "blocks.2.gates.g1", "blocks.2.gates.g3"]
+        assert count_params(named) == hydra_param_count(cfg)
+
     def test_tiny_config_match(self):
         cfg = tiny_config()
         nh = hydra_param_count(cfg)
@@ -325,14 +338,30 @@ class TestParameterMatch:
         assert abs(nh - nt) / nt <= 0.05
 
 
+class TestDeadParameters:
+    #: segment-compression parameters: allocated, never used by the forward
+    ALLOWED_DEAD = {"workspace.pool_queries", "workspace.w_kp", "workspace.w_vp", "workspace.w_op"}
+
+    def test_every_parameter_gets_gradient(self):
+        # n_experts=2: top-2 routes to both experts; 4 chunks: more than one
+        # write round; L=16 > attn_block + sga_window: some query block has
+        # a causal prefix to select globals from
+        cfg = tiny_config(n_experts=2, attn_block=4, sga_window=4, chunk_size=4)
+        params = build_hydra(cfg)
+        open_gates(params, 0.5, 0.5)  # at init they are 0 and block every SGA/MoE gradient
+        toks = np.random.default_rng(20).integers(0, cfg.vocab, size=(2, 17))
+        T.reset_tape()
+        logits = hydra_forward(toks[:, :-1], cfg, params, train_mode=True)
+        backward(lm_loss(logits, toks[:, 1:], np.ones((2, 16))))
+        dead = {n for n, p in params.parameters() if p.grad is None or not np.any(p.grad)}
+        assert dead == self.ALLOWED_DEAD
+
+
 class TestFullGradCheck:
     def test_dim8_two_block_gradients_match_finite_differences(self):
         cfg = tiny_config()
         params = build_hydra(cfg)
-        # make every path live
-        for bp in params.blocks:
-            bp.gates.g2.data[...] = 0.4
-            bp.gates.g3.data[...] = 0.6
+        open_gates(params, 0.4, 0.6)  # make every path live
         params.router.w_sga.data[:] = 0.3
         params.router.w_mem_ws.data[:] = 0.2
         params.router.w_mem_pkm.data[:] = -0.1
@@ -346,7 +375,7 @@ class TestFullGradCheck:
                   "blocks.1.sga.saliency_proj", "blocks.0.moe.expert0.w_gate",
                   "router.w_mem_pkm", "router.w_moe", "workspace.init_slots",
                   "workspace.w_qr", "pkm.values", "pkm.codebook1", "pkm.w_query",
-                  "blocks.0.gates.g2", "final_gain"]
+                  "blocks.1.gates.g2", "blocks.0.gates.g3", "final_gain"]
         def loss():
             out = hydra_forward(toks, cfg, params, train_mode=True)
             return T.tsum(T.mul(out, target_w))
@@ -439,4 +468,46 @@ class TestCheckpoint:
         p = tmp_path / "junk.ckpt"
         p.write_bytes(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(UsageError):
+            load_checkpoint(p)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        cfg = tiny_config()
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(p, "hydra", cfg, build_hydra(cfg).parameters())
+        blob = p.read_bytes()
+        # cut inside the version, the meta, the first record's name length,
+        # name, dims and data, and one byte short of the end
+        meta_len = int.from_bytes(blob[12:16], "little")
+        rec = 16 + meta_len + 4
+        dims_at = rec + 4 + int.from_bytes(blob[rec:rec + 4], "little") + 4
+        for cut in (10, 16 + meta_len // 2, rec + 2, rec + 6, dims_at + 3, dims_at + 24,
+                    len(blob) - 1):
+            bad = tmp_path / f"cut{cut}.ckpt"
+            bad.write_bytes(blob[:cut])
+            with pytest.raises(UsageError, match=bad.name):
+                load_checkpoint(bad)
+
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        cfg = tiny_config()
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(p, "hydra", cfg, build_hydra(cfg).parameters())
+        old = p.read_bytes()
+
+        class Broken:
+            @property
+            def data(self):
+                raise RuntimeError("parameter unavailable")
+
+        named = build_hydra(tiny_config(seed=1)).parameters()
+        with pytest.raises(RuntimeError):
+            save_checkpoint(p, "hydra", cfg, named[:3] + [("broken", Broken())] + named[3:])
+        assert p.read_bytes() == old
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_old_version_rejected(self, tmp_path):
+        import struct
+
+        p = tmp_path / "v1.ckpt"
+        p.write_bytes(b"HYDRALAB" + struct.pack("<I", 1) + b"\x00" * 16)
+        with pytest.raises(UsageError, match="version 1"):
             load_checkpoint(p)

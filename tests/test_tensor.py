@@ -326,3 +326,35 @@ class TestAllocator:
         del big
         T.reset_peak_memory()
         assert T.peak_memory_mb() < base + 8.0
+
+
+class TestTapeAfterFailure:
+    """A failed forward or backward leaves no ops behind on the tape."""
+
+    @pytest.mark.parametrize("fail", ["finite_check", "exp_overflow", "log_domain"])
+    def test_failed_forward_clears_tape(self, fail):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        T.reset_tape()
+        h = T.mul(T.add(x, 1.0), 3.0)          # two ops recorded before the failure
+        assert T.tape_size() == 2
+        with pytest.raises(NumericError), np.errstate(over="ignore"):
+            if fail == "finite_check":
+                T.mul(h, 1e308)                 # overflows to inf in the output
+            elif fail == "exp_overflow":
+                T.exp(T.mul(h, 1e3))
+            else:
+                T.log(T.sub(h, 100.0))
+        assert T.tape_size() == 0
+
+    def test_failed_backward_clears_tape(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        T.reset_tape()
+
+        def broken_rule(g):
+            raise RuntimeError("backward rule failed")
+
+        y = T._make_output(x.data * 2.0, (x,), broken_rule, "broken")
+        loss = T.tsum(T.add(y, 1.0))
+        with pytest.raises(RuntimeError):
+            T.backward(loss)
+        assert T.tape_size() == 0

@@ -1,4 +1,4 @@
-"""Workspace memory: causal write/read semantics, gating, compression."""
+"""Workspace memory: causal write/read semantics, gating, cost."""
 
 import time
 
@@ -8,8 +8,6 @@ import pytest
 from hydra_lab import tensor as T
 from hydra_lab.tensor import Tensor, UsageError, backward, no_grad
 from hydra_lab.workspace import (
-    Workspace,
-    compress_segment,
     init_workspace_params,
     workspace_read,
     workspace_write,
@@ -194,34 +192,6 @@ class TestRead:
             return T.tsum(workspace_read(t, workspace_write(summ, params), beta, params, 2))
 
         assert T.grad_check(f, h, h=1e-5, tol=1e-4).passed
-
-
-class TestCompress:
-    def test_single_active_slot_pooling(self):
-        params = init_workspace_params(d=8, s_total=4, s_active=1, rank=4, rng=np.random.default_rng(12))
-        ws = Workspace(slots=params.init_slots, params=params)
-        with no_grad():
-            out = compress_segment(ws)
-        pooled = (ws.slots.data[:1] @ params.w_vp.data) @ params.w_op.data
-        np.testing.assert_allclose(out.slots.data[:1], pooled, atol=1e-12)
-        np.testing.assert_array_equal(out.slots.data[1:], params.init_slots.data[1:])
-
-    def test_identical_slots_pool_to_projection(self, params):
-        slots = np.tile(np.random.default_rng(13).normal(size=(1, 8)), (6, 1))
-        ws = Workspace(slots=Tensor(slots), params=params)
-        with no_grad():
-            out = compress_segment(ws)
-        pooled = (slots[:1] @ params.w_vp.data) @ params.w_op.data
-        for j in range(3):
-            np.testing.assert_allclose(out.slots.data[j], pooled[0], atol=1e-12)
-
-    def test_not_idempotent(self, params):
-        slots = np.random.default_rng(14).normal(size=(6, 8))
-        ws = Workspace(slots=Tensor(slots), params=params)
-        with no_grad():
-            once = compress_segment(ws)
-            twice = compress_segment(once)
-        assert np.abs(twice.slots.data[:3] - once.slots.data[:3]).max() > 1e-10
 
 
 class TestCostScaling:
