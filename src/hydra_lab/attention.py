@@ -3,10 +3,15 @@
 Each token attends to its trailing window of ``w`` positions and to any
 globally selected positions further back. Work is done in query blocks
 so cost and transient memory stay O(L * (w + K) * d) instead of O(L^2).
-Global selection is a hard top-K over a learned linear saliency score,
-redone per query block over the causal prefix; the same score biases
-the logits of the selected columns, so the saliency projection keeps
-receiving gradient through the attention weights it induces.
+The blocked softmax(q kᵀ) v is one tape op per call (``tiled_attention``)
+with a hand-written backward, in the manner of FlashAttention (Dao et
+al. 2022). It keeps each block's probabilities for that backward only
+when the op is recorded, so a forward under ``no_grad`` holds one
+block's scores at a time. Global selection is a hard top-K over a
+learned linear saliency score, redone per query block over the causal
+prefix; the same score biases the logits of the selected columns, so
+the saliency projection keeps receiving gradient through the attention
+weights it induces.
 """
 
 from __future__ import annotations
@@ -114,6 +119,13 @@ def _block_globals(saliency: np.ndarray, hi: int, K: int, explore):
     return gidx, mask
 
 
+#: tape ops one ``sga_forward`` call records: the q/k/v projections and
+#: their head splits (9), the fused attention op (1), the head merge and the
+#: output projection (3), plus the saliency score (2) when globals are selected
+SGA_TAPE_OPS = 15
+DENSE_TAPE_OPS = 13
+
+
 def sga_forward(h, params: SgaLayerParams, block_size: int = 256,
                 explore: np.ndarray | None = None) -> Tensor:
     """Windowed causal attention with causally selected global tokens.
@@ -129,55 +141,111 @@ def sga_forward(h, params: SgaLayerParams, block_size: int = 256,
     only, and dense causal attention when w >= L.
     """
     B, L, d = h.data.shape
-    H, w = params.n_heads, params.window
-    dh = d // H
+    H = params.n_heads
     K = min(params.max_globals, L)
-    select = K > 0 or explore is not None
-    if select:
+    sal = None
+    if K > 0 or explore is not None:
         sal = T.matmul(h, T.reshape(params.saliency_proj, (d, 1)))   # [B, L, 1]
-        saliency = sal.data[..., 0]
-
     q = _split_heads(T.matmul(h, params.q_proj), H)   # [B,H,L,dh]
-    k_all = T.matmul(h, params.k_proj)                # [B,L,d]
-    v_all = T.matmul(h, params.v_proj)
-    scale = 1.0 / np.sqrt(dh)
+    k = _split_heads(T.matmul(h, params.k_proj), H)
+    v = _split_heads(T.matmul(h, params.v_proj), H)
+    out = tiled_attention(q, k, v, sal, params.window, K, explore, block_size)
+    return T.matmul(_merge_heads(out), params.out_proj)
 
-    out_blocks = []
+
+def _window_mask(t0: int, t1: int, win_start: int, w: int):
+    """Additive mask of query rows [t0, t1) over window columns
+    [win_start, t1): row t sees t - w <= pos <= t. Returns (c0, mask
+    [rows, cols - c0]); columns before c0 are inside every row's window."""
+    c0 = 0 if t1 - 1 - w > win_start else t0 + 1 - win_start
+    pos = np.arange(win_start + c0, t1)
+    rows = np.arange(t0, t1)[:, None]
+    return c0, np.where((pos >= rows - w) & (pos <= rows), 0.0, _MASK)
+
+
+def tiled_attention(q: Tensor, k: Tensor, v: Tensor, sal: Tensor | None, w: int, K: int,
+                    explore, block_size: int) -> Tensor:
+    """softmax(q kᵀ / sqrt(dh) + mask + bias) v over the window and global
+    columns of each query tile, recorded as one tape op.
+
+    q, k, v are [B, H, L, dh]. ``sal`` ([B, L, 1]) is the saliency score
+    that selects each tile's globals (``_block_globals``) and biases their
+    logits; None means no globals. Tiles are computed on numpy views, and
+    a tile's probabilities are kept for the backward only when the op is
+    recorded.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    B, H, L, dh = qd.shape
+    if block_size < 1:
+        raise T._op_error(UsageError, "tiled_attention: block_size must be >= 1")
+    inputs = (q, k, v) if sal is None else (q, k, v, sal)
+    keep = T._GRAD_ENABLED and any(t.requires_grad for t in inputs)
+    saliency = None if sal is None else sal.data[..., 0]
+    scale = 1.0 / np.sqrt(dh)
+    bi = np.arange(B)[:, None]
+    out = np.empty_like(qd)
+    saved = []
     for t0 in range(0, L, block_size):
         t1 = min(t0 + block_size, L)
-        win_start = max(0, t0 - w)
-        pos = np.arange(win_start, t1)
-        rows = np.arange(t0, t1)[:, None]
+        ws = max(0, t0 - w)
+        nw = t1 - ws
+        picked = None if sal is None else _block_globals(saliency, ws, K, explore)
+        gidx, glob_mask = (None, None) if picked is None else picked
+        G = 0 if gidx is None else gidx.shape[1]
+        q_t = qd[:, :, t0:t1]
+        s = np.empty((B, H, t1 - t0, nw + G))
+        np.matmul(q_t, kd[:, :, ws:t1].swapaxes(-1, -2), out=s[..., :nw])
+        v_t = vd[:, :, ws:t1]
+        if G:
+            np.matmul(q_t, kd[bi, :, gidx].transpose(0, 2, 3, 1), out=s[..., nw:])
+        if not np.isfinite(s.sum()):
+            T._check_finite(s, "tiled_attention")
+        s *= scale
+        c0, mask = _window_mask(t0, t1, ws, w)
+        s[..., c0:nw] += mask
+        if G:
+            s[..., nw:] += saliency[bi, gidx][:, None, None, :]
+            s[..., nw:] += glob_mask
+            v_t = np.concatenate([v_t, vd[bi, :, gidx].transpose(0, 2, 1, 3)], axis=-2)
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        np.matmul(s, v_t, out=out[:, :, t0:t1])
+        if keep:
+            saved.append((t0, t1, ws, gidx, s))
 
-        q_blk = q[:, :, t0:t1]                       # [B,H,nb,dh]
-        k_win = _split_heads(k_all[:, win_start:t1], H)
-        v_win = _split_heads(v_all[:, win_start:t1], H)
+    def bwd(g):
+        gq = np.empty_like(qd)          # each query row lies in exactly one tile
+        gk = np.zeros_like(kd)
+        gv = np.zeros_like(vd)
+        gsal = None     # stays None when no tile selected a global
+        for t0, t1, ws, gidx, p in saved:
+            nw = t1 - ws
+            g_t = g[:, :, t0:t1]
+            k_t, v_t = kd[:, :, ws:t1], vd[:, :, ws:t1]
+            if gidx is not None:
+                k_t = np.concatenate([k_t, kd[bi, :, gidx].transpose(0, 2, 1, 3)], axis=-2)
+                v_t = np.concatenate([v_t, vd[bi, :, gidx].transpose(0, 2, 1, 3)], axis=-2)
+            gv_t = p.swapaxes(-1, -2) @ g_t
+            ds = g_t @ v_t.swapaxes(-1, -2)          # d(probs), then d(logits)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            if gidx is not None:
+                # padding repeats position 0, so scatter with add.at
+                if gsal is None:
+                    gsal = np.zeros(sal.data.shape)
+                np.add.at(gsal[..., 0], (bi, gidx), ds[..., nw:].sum(axis=(1, 2)))
+            ds *= scale
+            gq[:, :, t0:t1] = ds @ k_t
+            gk_t = ds.swapaxes(-1, -2) @ qd[:, :, t0:t1]
+            gk[:, :, ws:t1] += gk_t[:, :, :nw]
+            gv[:, :, ws:t1] += gv_t[:, :, :nw]
+            if gidx is not None:
+                np.add.at(gk, (bi, slice(None), gidx), gk_t[:, :, nw:].transpose(0, 2, 1, 3))
+                np.add.at(gv, (bi, slice(None), gidx), gv_t[:, :, nw:].transpose(0, 2, 1, 3))
+        return (gq, gk, gv) if sal is None else (gq, gk, gv, gsal)
 
-        # window part: allow t-w <= pos <= t
-        win_mask = np.where((pos[None, :] >= rows - w) & (pos[None, :] <= rows), 0.0, _MASK)
-        scores_w = T.matmul(q_blk, T.transpose(k_win, (0, 1, 3, 2))) * scale
-        scores_w = scores_w + Tensor(win_mask)
-
-        picked = _block_globals(saliency, win_start, K, explore) if select else None
-        if picked is not None:
-            gidx, glob_mask = picked
-            G = gidx.shape[1]
-            k_glob = _split_heads(T.gather_rows_batched(k_all, gidx), H)
-            v_glob = _split_heads(T.gather_rows_batched(v_all, gidx), H)
-            scores_g = T.matmul(q_blk, T.transpose(k_glob, (0, 1, 3, 2))) * scale
-            bias_glob = T.gather_rows_batched(sal, gidx)  # [B,G,1]
-            scores_g = scores_g + T.reshape(T.transpose(bias_glob, (0, 2, 1)), (B, 1, 1, G))
-            scores_g = scores_g + Tensor(glob_mask)
-            scores = T.concat([scores_w, scores_g], axis=-1)
-            v_cat = T.concat([v_win, v_glob], axis=-2)
-        else:
-            scores, v_cat = scores_w, v_win
-
-        probs = T.softmax(scores, axis=-1)
-        out_blocks.append(T.matmul(probs, v_cat))    # [B,H,nb,dh]
-
-    out = T.concat(out_blocks, axis=-2) if len(out_blocks) > 1 else out_blocks[0]
-    return T.matmul(_merge_heads(out), params.out_proj)
+    return T._make_output(out, inputs, bwd, "tiled_attention")
 
 
 def sga_cost(L, w, g, d, flops_per_mac: float = 4.0) -> float:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import SgaLayerParams, init_sga_params, sga_cost, sga_forward
+from .attention import DENSE_TAPE_OPS, SGA_TAPE_OPS, SgaLayerParams, init_sga_params, sga_cost, sga_forward
 from .moe import ExpertPool, chunk_spans, dispatch_fractions, init_expert_pool, moe_apply, top2_pairs
 from .pkm import PkmStore, init_pkm_store, pkm_blend, pkm_query_batch
 from .rng import substream
@@ -561,8 +561,7 @@ def cost_model(config: ModelConfig, L: int, active: ActiveDecisions | None = Non
     if active.sga_on:
         n_sga = len(config.sga_block_ids())
         qkvo = 4 * FLOPS_PER_MAC * L * d * d
-        comp["sga"] = n_sga * (sga_cost(L, config.sga_window, g, d) + qkvo) \
-            + n_sga * OP_OVERHEAD_FLOPS * 14 * max(1, L // config.attn_block)
+        comp["sga"] = n_sga * (sga_cost(L, config.sga_window, g, d) + qkvo + OP_OVERHEAD_FLOPS * SGA_TAPE_OPS)
     else:
         comp["sga"] = 0.0
 
@@ -597,8 +596,7 @@ def cost_model(config: ModelConfig, L: int, active: ActiveDecisions | None = Non
     attn_quad = FLOPS_PER_MAC * 2 * L * L * d / 2  # causal half
     qkvo = 4 * FLOPS_PER_MAC * L * d * d
     ffn = 2 * FLOPS_PER_MAC * L * d * hf
-    comp["baseline_total"] = nb * (attn_quad + qkvo + ffn) \
-        + nb * OP_OVERHEAD_FLOPS * (8 + 6 * max(1, L // config.attn_block))
+    comp["baseline_total"] = nb * (attn_quad + qkvo + ffn + OP_OVERHEAD_FLOPS * (8 + DENSE_TAPE_OPS))
     return comp
 
 

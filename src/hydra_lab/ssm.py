@@ -56,9 +56,9 @@ def diag_recurrence(a: Tensor, u: Tensor) -> Tensor:
     """
     ad, ud = a.data, u.data
     if ud.ndim < 2:
-        raise T.ShapeError("diag_recurrence: u must be [..., L, d]")
+        raise T._op_error(T.ShapeError, "diag_recurrence: u must be [..., L, d]")
     if ad.shape != (ud.shape[-1],):
-        raise T.ShapeError("diag_recurrence: a must be [d] matching u's last axis")
+        raise T._op_error(T.ShapeError, "diag_recurrence: a must be [d] matching u's last axis")
     L = ud.shape[-2]
     one_minus = 1.0 - ad
     h = np.empty_like(ud)

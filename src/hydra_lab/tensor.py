@@ -4,8 +4,9 @@ A deliberately small define-by-run engine: every forward op appends one
 entry to a global tape, and ``backward`` replays the tape in reverse.
 All storage is row-major float64. Broadcasting is numpy's trailing-dim
 alignment only. Every op checks its output for NaN/Inf, so overflow is
-an error rather than a silent value. A failed op and a finished or
-failed ``backward`` both leave the tape empty.
+an error rather than a silent value. A failed op (shape, usage or
+numeric error) and a finished or failed ``backward`` all leave the tape
+empty.
 """
 
 from __future__ import annotations
@@ -221,16 +222,17 @@ def as_tensor(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # op plumbing
 
-def _numeric_error(msg: str) -> NumericError:
-    """The error of a failed op. Clears the tape, so the ops the failed
-    forward recorded cannot reach a later backward."""
+def _op_error(cls, msg: str) -> Exception:
+    """The error (``ShapeError``, ``UsageError`` or ``NumericError``) of a
+    failed op. Clears the tape, so the ops the failed forward recorded
+    cannot reach a later backward."""
     _TAPE.clear()
-    return NumericError(msg)
+    return cls(msg)
 
 
 def _check_finite(arr: np.ndarray, name: str):
     if not np.isfinite(arr).all():
-        raise _numeric_error(f"op '{name}' produced non-finite values")
+        raise _op_error(NumericError, f"op '{name}' produced non-finite values")
 
 
 def _make_output(arr: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable, name: str) -> Tensor:
@@ -256,7 +258,8 @@ def _broadcast_shape(a: Tensor, b: Tensor, name: str):
     try:
         return np.broadcast_shapes(a.data.shape, b.data.shape)
     except ValueError:
-        raise ShapeError(f"{name}: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
+        raise _op_error(ShapeError,
+                        f"{name}: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +337,7 @@ def exp(x) -> Tensor:
         try:
             out = np.exp(x.data)
         except FloatingPointError:
-            raise _numeric_error("exp overflow") from None
+            raise _op_error(NumericError, "exp overflow") from None
     e = out
 
     def bwd(g):
@@ -346,7 +349,7 @@ def exp(x) -> Tensor:
 def log(x) -> Tensor:
     x = as_tensor(x)
     if np.any(x.data <= 0):
-        raise _numeric_error("log domain violation: input must be positive")
+        raise _op_error(NumericError, "log domain violation: input must be positive")
     out = np.log(x.data)
     xd = x.data
 
@@ -388,9 +391,9 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError("matmul operands must have ndim >= 2")
+        raise _op_error(ShapeError, "matmul operands must have ndim >= 2")
     if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul: inner dims {ad.shape[-1]} != {bd.shape[-2]}")
+        raise _op_error(ShapeError, f"matmul: inner dims {ad.shape[-1]} != {bd.shape[-2]}")
 
     if bd.ndim == 2 and ad.ndim > 2:
         # single flattened GEMM beats numpy's per-batch loop
@@ -410,7 +413,8 @@ def matmul(a, b) -> Tensor:
     try:
         out = ad @ bd
     except ValueError:
-        raise ShapeError(f"matmul: batch dims {ad.shape[:-2]} vs {bd.shape[:-2]} incompatible") from None
+        raise _op_error(ShapeError,
+                        f"matmul: batch dims {ad.shape[:-2]} vs {bd.shape[:-2]} incompatible") from None
 
     def bwd(g):
         ga = g @ np.swapaxes(bd, -1, -2)
@@ -457,7 +461,10 @@ def tmean(x, axis=None, keepdims=False) -> Tensor:
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
     old = x.data.shape
-    out = x.data.reshape(shape)
+    try:
+        out = x.data.reshape(shape)
+    except ValueError:
+        raise _op_error(ShapeError, f"reshape: cannot reshape {old} to {shape}") from None
 
     def bwd(g):
         return (g.reshape(old),)
@@ -481,7 +488,10 @@ def transpose(x, axes=None) -> Tensor:
 
 def concat(tensors, axis=0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError:
+        raise _op_error(ShapeError, f"concat: shapes {[t.data.shape for t in tensors]} do not join") from None
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -511,7 +521,7 @@ def gather_rows(x, idx) -> Tensor:
     x = as_tensor(x)
     idx = np.asarray(idx)
     if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
-        raise ShapeError("gather_rows: index out of range")
+        raise _op_error(ShapeError, "gather_rows: index out of range")
     out = x.data[idx]
     shape = x.data.shape
 
@@ -528,7 +538,7 @@ def gather_rows_batched(x, idx) -> Tensor:
     x = as_tensor(x)
     idx = np.asarray(idx)
     if x.data.ndim < 2 or idx.ndim != 2 or idx.shape[0] != x.data.shape[0]:
-        raise ShapeError("gather_rows_batched: expects x [B,N,...] and idx [B,P]")
+        raise _op_error(ShapeError, "gather_rows_batched: expects x [B,N,...] and idx [B,P]")
     expand = (slice(None),) * 2 + (None,) * (x.data.ndim - 2)
     out = np.take_along_axis(x.data, idx[expand], axis=1)
     shape = x.data.shape
@@ -599,7 +609,7 @@ def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then
     apply the affine (gain, bias)."""
     if eps <= 0:
-        raise UsageError("layer_norm: eps must be positive")
+        raise _op_error(UsageError, "layer_norm: eps must be positive")
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)

@@ -1,12 +1,15 @@
 """Sparse attention: dense equivalence, causality, global-token reach."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
 from hydra_lab import tensor as T
-from hydra_lab.attention import SgaLayerParams, _prefix_topk, init_sga_params, sga_cost, sga_forward
+from hydra_lab.attention import (DENSE_TAPE_OPS, SGA_TAPE_OPS, SgaLayerParams, _prefix_topk, init_sga_params,
+                                 sga_cost, sga_forward)
 from hydra_lab.tensor import Tensor, no_grad
 
 
@@ -216,3 +219,164 @@ class TestCost:
         a = sga_cost(4096, 256, 512, 256)
         b = sga_cost(8192, 256, 512, 256)
         assert b / a == pytest.approx(2.0)
+
+
+def tiled_oracle(h, params, block_size, explore=None):
+    """Plain-numpy sparse attention on [B, L, d], one query row at a time.
+
+    Row t of the tile starting at t0 sees its window [t - w, t] and the
+    globals of that tile: the top-K saliency positions of [0, t0 - w)
+    (ties to the lower index) plus the ``explore`` positions there, whose
+    logits carry the saliency score as a bias.
+    """
+    B, L, d = h.shape
+    H, w = params.n_heads, params.window
+    dh = d // H
+    K = min(params.max_globals, L)
+    q, k, v = (h @ p.data for p in (params.q_proj, params.k_proj, params.v_proj))
+    sal = h @ params.saliency_proj.data if params.saliency_proj is not None else None
+    out = np.zeros((B, L, d))
+    for b in range(B):
+        for t in range(L):
+            hi = max(0, (t // block_size) * block_size - w)
+            glob = set()
+            if K > 0 or explore is not None:
+                glob = set(np.argsort(-sal[b, :hi], kind="stable")[:K].tolist())
+                if explore is not None:
+                    glob |= {int(p) for p in explore[b] if p < hi}
+            glob = sorted(glob)
+            cols = list(range(max(0, t - w), t + 1)) + glob
+            bias = np.array([0.0] * (len(cols) - len(glob)) + [sal[b, p] for p in glob])
+            for hd in range(H):
+                sl = slice(hd * dh, (hd + 1) * dh)
+                logits = k[b, cols, sl] @ q[b, t, sl] / np.sqrt(dh) + bias
+                e = np.exp(logits - logits.max())
+                out[b, t, sl] = (e / e.sum()) @ v[b, cols, sl]
+    return out @ params.out_proj.data
+
+
+def _salient_at_zero(rng, B, L, d, params):
+    """Inputs whose sequence 0 ranks position 0 first by saliency."""
+    h = rng.normal(size=(B, L, d))
+    sal = params.saliency_proj.data
+    h[0, 0] += 4.0 * sal / np.linalg.norm(sal)
+    return h
+
+
+class TestTiledKernel:
+    """The fused attention op against a plain-numpy oracle."""
+
+    @pytest.mark.parametrize("block_size", [1, 4, 8, 256])
+    def test_matches_oracle(self, block_size):
+        rng = np.random.default_rng(20 + block_size)
+        params = init_sga_params(d=16, n_heads=4, window=3, max_globals=2, rng=rng)
+        h = _salient_at_zero(rng, 2, 29, 16, params)
+        # sequence 1 explores more positions than sequence 0, so sequence
+        # 0's global columns are padded with position 0 beside a real 0
+        explore = np.array([[0, 0, 0, 5], [2, 9, 14, 20]])
+        for ex in (None, explore):
+            expected = tiled_oracle(h, params, block_size, ex)
+            with no_grad():
+                got = sga_forward(Tensor(h), params, block_size=block_size, explore=ex).data
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_windowed_matches_oracle(self):
+        rng = np.random.default_rng(30)
+        params = init_sga_params(d=16, n_heads=2, window=5, max_globals=0, rng=rng)
+        h = rng.normal(size=(2, 23, 16))
+        expected = tiled_oracle(h, replace(params, saliency_proj=None), 4)
+        with no_grad():
+            got = sga_forward(Tensor(h), params, block_size=4).data
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("name", ["h", "q_proj", "k_proj", "v_proj", "saliency_proj"])
+    def test_grad_check_through_op(self, name):
+        rng = np.random.default_rng(31)
+        params = init_sga_params(d=8, n_heads=2, window=2, max_globals=2, rng=rng)
+        h = Tensor(_salient_at_zero(rng, 2, 11, 8, params))
+        explore = np.array([[0, 0, 3], [1, 4, 6]])
+        weight = Tensor(rng.normal(size=(2, 11, 8)))
+
+        def loss(x):
+            p = replace(params, **{name: x}) if name != "h" else params
+            y = sga_forward(x if name == "h" else h, p, block_size=4, explore=explore)
+            return T.tsum(T.mul(y, weight))
+
+        x = h if name == "h" else getattr(params, name)
+        x.requires_grad = True
+        rep = T.grad_check(loss, x, h=1e-5, tol=1e-5)
+        assert rep.passed, rep
+
+    def test_no_selected_global_leaves_saliency_without_grad(self, params):
+        # one tile whose window starts at 0: nothing is selected, so the
+        # saliency score gets no gradient (a zero one would still move AdamW)
+        h = Tensor(np.random.default_rng(35).normal(size=(1, 8, 16)), requires_grad=True)
+        T.backward(T.tsum(sga_forward(h, params, block_size=8)))
+        assert params.saliency_proj.grad is None
+        assert np.abs(params.q_proj.grad).max() > 0
+
+    @pytest.mark.parametrize("L,block_size", [(13, 4), (40, 8), (40, 256)])
+    def test_tape_ops_per_call(self, L, block_size):
+        params = init_sga_params(d=8, n_heads=2, window=3, max_globals=2, rng=np.random.default_rng(32))
+        h = Tensor(np.random.default_rng(33).normal(size=(2, L, 8)), requires_grad=True)
+        T.reset_tape()
+        sga_forward(h, params, block_size=block_size)
+        assert T.tape_size() == SGA_TAPE_OPS
+        T.reset_tape()
+        sga_forward(h, replace(params, max_globals=0), block_size=block_size)
+        assert T.tape_size() == DENSE_TAPE_OPS
+        T.reset_tape()
+
+    def test_score_overflow_raises_and_clears_tape(self):
+        rng = np.random.default_rng(34)
+        params = init_sga_params(d=8, n_heads=2, window=3, max_globals=2, rng=rng)
+        big = replace(params, q_proj=Tensor(params.q_proj.data * 1e155, requires_grad=True),
+                      k_proj=Tensor(params.k_proj.data * 1e155, requires_grad=True))
+        h = Tensor(rng.normal(size=(1, 12, 8)), requires_grad=True)
+        T.reset_tape()
+        with pytest.raises(T.NumericError), np.errstate(over="ignore", invalid="ignore"):
+            sga_forward(h, big, block_size=4)
+        assert T.tape_size() == 0
+
+    def test_bad_block_size_clears_tape(self, params):
+        h = Tensor(np.ones((1, 6, 16)), requires_grad=True)
+        T.reset_tape()
+        with pytest.raises(T.UsageError):
+            sga_forward(h, params, block_size=0)
+        assert T.tape_size() == 0
+
+
+def _backward_bytes(L):
+    """Sum over the backward rules of one sga_forward call of each rule's
+    tracemalloc peak above the bytes live when it started."""
+    rng = np.random.default_rng(40)
+    params = init_sga_params(d=16, n_heads=2, window=4, max_globals=2, rng=rng)
+    h = Tensor(rng.normal(size=(1, L, 16)), requires_grad=True)
+    T.reset_tape()
+    y = sga_forward(h, params, block_size=8)
+    total = [0]
+
+    def measured(rule):
+        def run(g):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = rule(g)
+            total[0] += tracemalloc.get_traced_memory()[1] - base
+            return out
+        return run
+
+    for op in T._TAPE:
+        op.backward_fn = measured(op.backward_fn)
+    loss = T.tsum(y)
+    tracemalloc.start()
+    try:
+        T.backward(loss)
+    finally:
+        tracemalloc.stop()
+    return total[0]
+
+
+class TestBackwardScaling:
+    def test_backward_bytes_linear_in_l(self):
+        for L in (64, 128):
+            assert _backward_bytes(2 * L) <= 2.3 * _backward_bytes(L)

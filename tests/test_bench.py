@@ -1,8 +1,11 @@
 """Benchmark harness: records, fits, report files."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from hydra_lab import bench
 from hydra_lab.bench import (
     BenchRecord,
     ScalingFit,
@@ -46,11 +49,27 @@ class TestMeasure:
         # both rates come from the same median run
         assert r.tokens_per_sec * r.ms_per_token == pytest.approx(1000.0, rel=1e-12)
 
-    def test_repeat_stability(self):
+    def test_repeat_stability(self, monkeypatch):
+        # an injected clock: each measurement reads the same five repeats,
+        # one of them an outlier, so a measurement must repeat exactly
+        durations = [0.010, 0.012, 0.500, 0.011, 0.013]
+        readings = []
+        for _ in range(2):
+            t = 100.0
+            for dt in durations:
+                readings += [t, t + dt]
+                t += 1.0
+        clock = iter(readings)
+        monkeypatch.setattr(bench, "time", SimpleNamespace(monotonic=lambda: next(clock)))
         cfg = tiny_cfg()
         params = build_hydra(cfg)
         a = measure_throughput("hydra", cfg, params, 128, n_repeats=5)
         b = measure_throughput("hydra", cfg, params, 128, n_repeats=5)
+        assert next(clock, None) is None                 # every reading was used
+        assert a.tokens_per_sec == b.tokens_per_sec
+        assert a.ms_per_token == b.ms_per_token
+        med = float(np.median(np.array(readings[1:10:2]) - np.array(readings[0:10:2])))
+        assert a.tokens_per_sec == 128 / med
         assert abs(a.tokens_per_sec - b.tokens_per_sec) / a.tokens_per_sec < 0.35
 
     def test_min_repeats_enforced(self):

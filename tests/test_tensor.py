@@ -346,6 +346,27 @@ class TestTapeAfterFailure:
                 T.log(T.sub(h, 100.0))
         assert T.tape_size() == 0
 
+    @pytest.mark.parametrize("fail", ["add_shape", "matmul_shape", "reshape_shape", "concat_shape",
+                                      "layer_norm_usage"])
+    def test_shape_or_usage_error_clears_tape(self, fail):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        T.reset_tape()
+        h = T.matmul(T.mul(x, 2.0), np.ones((3, 3)))   # two ops recorded before the failure
+        assert T.tape_size() == 2
+        err = UsageError if fail == "layer_norm_usage" else ShapeError
+        with pytest.raises(err):
+            if fail == "add_shape":
+                T.add(h, np.ones((4, 3)))
+            elif fail == "matmul_shape":
+                T.matmul(h, np.ones((2, 3)))
+            elif fail == "reshape_shape":
+                T.reshape(h, (5,))
+            elif fail == "concat_shape":
+                T.concat([h, np.ones((2, 4))], axis=0)
+            else:
+                T.layer_norm(h, np.ones(3), np.zeros(3), eps=0.0)
+        assert T.tape_size() == 0
+
     def test_failed_backward_clears_tape(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         T.reset_tape()
