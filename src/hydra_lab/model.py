@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import DENSE_TAPE_OPS, SGA_TAPE_OPS, SgaLayerParams, init_sga_params, sga_cost, sga_forward
-from .moe import ExpertPool, chunk_spans, dispatch_fractions, init_expert_pool, moe_apply, top2_pairs
+from .moe import ExpertPool, chunk_spans, dispatch_fractions, init_expert_pool, moe_apply, moe_tape_ops, top2_pairs
 from .pkm import PkmStore, init_pkm_store, pkm_blend, pkm_query_batch
 from .rng import substream
 from .ssm import SsmLayerParams, init_ssm_params, ssm_scan
@@ -569,7 +569,7 @@ def cost_model(config: ModelConfig, L: int, active: ActiveDecisions | None = Non
         n_moe = len(config.moe_block_ids())
         # top-2 experts, three d x h mats each
         comp["moe"] = n_moe * 2 * 3 * FLOPS_PER_MAC * L * d * config.moe_hidden \
-            + n_moe * OP_OVERHEAD_FLOPS * 10
+            + n_moe * OP_OVERHEAD_FLOPS * moe_tape_ops(config.n_experts)
     else:
         comp["moe"] = 0.0
 

@@ -4,6 +4,13 @@ Contiguous token chunks share one routing decision. Each chunk runs
 exactly two experts, weighted by the pair-renormalized router softmax,
 so per-token compute is independent of the pool size. A Switch-style
 auxiliary loss discourages the router from collapsing onto one expert.
+
+Each expert is one tape op (``swiglu``) with a hand-written backward; it
+keeps its hidden activations for that backward only when the op is
+recorded, so under ``no_grad`` it holds nothing. The expert outputs of a
+layer are summed back into token order by one ``scatter_rows`` op, which
+relies on an expert's rows being distinct: the top-2 choice never picks
+the same expert twice for a chunk.
 """
 
 from __future__ import annotations
@@ -13,18 +20,48 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, UsageError
+from .tensor import ShapeError, Tensor, UsageError
 
 
 @dataclass
 class ExpertFfn:
-    """Two-layer SiLU-gated feed-forward: (silu(x Wg) * x Wi) Wo."""
+    """Two-layer SiLU-gated feed-forward: (silu(x Wg) * x Wi) Wo.
+
+    One call is one tape op, ``swiglu`` (Shazeer 2020, arXiv 2002.05202),
+    over x [..., d] and the three weights. Only a recorded call keeps its
+    [rows, h] activations: a * sigmoid(a), sigmoid(a), x Wi and the hidden
+    product, where a = x Wg.
+    """
     w_gate: Tensor  # [d, h]
     w_in: Tensor    # [d, h]
     w_out: Tensor   # [h, d]
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(T.mul(T.silu(T.matmul(x, self.w_gate)), T.matmul(x, self.w_in)), self.w_out)
+        inputs = (x, self.w_gate, self.w_in, self.w_out)
+        keep = T._GRAD_ENABLED and any(t.requires_grad for t in inputs)
+        xd, wg, wi, wo = (t.data for t in inputs)
+        if xd.shape[-1] != wg.shape[0]:
+            raise T._op_error(ShapeError, f"swiglu: input dim {xd.shape[-1]} != {wg.shape[0]}")
+        x2 = np.ascontiguousarray(xd).reshape(-1, xd.shape[-1])
+        out_shape = xd.shape[:-1] + (wo.shape[1],)
+        a = x2 @ wg
+        b = x2 @ wi
+        s = T._stable_sigmoid(a)
+        a *= s          # silu(a), in place; the product order is ((a * s) * b)
+        if not keep:
+            a *= b
+            return T._make_output((a @ wo).reshape(out_shape), inputs, None, "swiglu")
+        hid = a * b
+
+        def bwd(g):
+            g2 = np.ascontiguousarray(g).reshape(-1, wo.shape[1])
+            ghid = g2 @ wo.T
+            gb = ghid * a
+            ga = (ghid * b) * (s + a * (1.0 - s))
+            gx = gb @ wi.T + ga @ wg.T
+            return gx.reshape(xd.shape), x2.T @ ga, x2.T @ gb, hid.T @ g2
+
+        return T._make_output((hid @ wo).reshape(out_shape), inputs, bwd, "swiglu")
 
     def parameters(self):
         return [("w_gate", self.w_gate), ("w_in", self.w_in), ("w_out", self.w_out)]
@@ -85,16 +122,29 @@ def top2_pairs(logits: Tensor):
     return full, ids, weights
 
 
-def scatter_rows(values: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
-    """Inverse of gather_rows: accumulate value rows at idx into [n_rows, d]."""
-    idx = np.asarray(idx)
-    out = np.zeros((n_rows,) + values.data.shape[1:])
-    np.add.at(out, idx, values.data)
+def scatter_rows(parts: list[tuple[Tensor, np.ndarray]], n_rows: int) -> Tensor:
+    """Sum of the (values [n, d], rows [n]) parts, each written at its rows
+    of one zero [n_rows, d] buffer, in list order. A part's rows must be
+    distinct; rows shared between parts add up."""
+    values = tuple(v for v, _ in parts)
+    out = np.zeros((n_rows,) + values[0].data.shape[1:])
+    for v, rows in parts:
+        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+            raise T._op_error(ShapeError, "scatter_rows: row index out of range")
+        out[rows] += v.data
 
     def bwd(g):
-        return (g[idx],)
+        return tuple(g[rows] for _, rows in parts)
 
-    return T._make_output(out, (values,), bwd, "scatter_rows")
+    return T._make_output(out, values, bwd, "scatter_rows")
+
+
+def moe_tape_ops(n_experts: int) -> int:
+    """Tape ops one recorded ``moe_apply`` call adds when every expert has
+    work: per expert the weight gather and reshape, the row gather, the
+    expert and the weighting (5), plus two input reshapes, the scatter and
+    the output reshape (4)."""
+    return 5 * n_experts + 4
 
 
 def moe_apply(u: Tensor, pool: ExpertPool, expert_ids: np.ndarray,
@@ -102,33 +152,30 @@ def moe_apply(u: Tensor, pool: ExpertPool, expert_ids: np.ndarray,
     """Vectorized chunk-routed expert application on [B, L, d]."""
     B, L, d = u.data.shape
     cs = pool.chunk_size
-    spans = chunk_spans(L, cs)
-    C = len(spans)
     k = expert_ids.shape[-1]
     x2 = T.reshape(u, (B * L, d))
+    C = -(-L // cs)
     w_flat = T.reshape(expert_weights, (B * C * k,))
     ids_flat = expert_ids.reshape(B * C, k)
 
-    # row ranges per (batch, chunk)
-    chunk_rows = [np.arange(b * L + s, b * L + t) for b in range(B) for s, t in spans]
+    # first row and length of each (batch, chunk)
+    offsets = np.arange(0, L, cs)
+    starts = (np.arange(B)[:, None] * L + offsets).reshape(-1)
+    lengths = np.tile(np.minimum(cs, L - offsets), B)
 
     parts = []
     for e in range(pool.n_experts):
         sel_chunks, sel_slots = np.nonzero(ids_flat == e)
         if sel_chunks.size == 0:
             continue
-        rows = np.concatenate([chunk_rows[c] for c in sel_chunks])
-        wpos = np.concatenate([
-            np.full(chunk_rows[c].size, c * k + s)
-            for c, s in zip(sel_chunks, sel_slots)
-        ])
+        n = lengths[sel_chunks]
+        # rows of the selected chunks back to back: each chunk's start,
+        # shifted by the rows placed before it, plus a running count
+        rows = np.repeat(starts[sel_chunks] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        wpos = np.repeat(sel_chunks * k + sel_slots, n)
         tok_w = T.reshape(T.gather_rows(w_flat, wpos), (rows.size, 1))
-        y = T.mul(pool.experts[e](T.gather_rows(x2, rows)), tok_w)
-        parts.append(scatter_rows(y, rows, B * L))
-    out = parts[0]
-    for p in parts[1:]:
-        out = T.add(out, p)
-    return T.reshape(out, (B, L, d))
+        parts.append((T.mul(pool.experts[e](T.gather_rows(x2, rows)), tok_w), rows))
+    return T.reshape(scatter_rows(parts, B * L), (B, L, d))
 
 
 def dispatch_fractions(expert_ids: np.ndarray, n_experts: int) -> np.ndarray:
@@ -145,6 +192,6 @@ def load_balance_loss(all_distributions: Tensor, fractions_dispatched: np.ndarra
     """
     C, E = all_distributions.data.shape
     if C < 1:
-        raise UsageError("load_balance_loss: need at least one chunk")
+        raise T._op_error(UsageError, "load_balance_loss: need at least one chunk")
     mean_probs = T.tmean(all_distributions, axis=0)
     return T.tsum(T.mul(mean_probs, Tensor(np.asarray(fractions_dispatched)))) * float(E)

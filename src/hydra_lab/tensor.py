@@ -303,11 +303,18 @@ def mul(a, b) -> Tensor:
 # unary elementwise
 
 def _stable_sigmoid(xd: np.ndarray) -> np.ndarray:
-    # clipping at +-709 keeps exp finite; the result is bit-identical to
-    # the unclipped value in float64 (tails are exactly 0.0 / 1.0)
-    out = np.exp(-np.clip(np.abs(xd), 0.0, 709.0))
-    out = 1.0 / (1.0 + out)
-    return np.where(xd >= 0, out, 1.0 - out)
+    # e = 1 / (1 + exp(-|x|)) lies in [0.5, 1], and exp(-|x|) <= 1 cannot
+    # overflow. 0.5 + copysign(e - 0.5, x) then gives e, or 1 - e for
+    # x < 0, with no rounding: e - 0.5 and 1 - e are exact there (Sterbenz).
+    # One buffer and no mask; a masked subtract was slower than all the rest.
+    e = np.copysign(xd, -1.0, out=np.empty(xd.shape))
+    np.exp(e, out=e)
+    e += 1.0
+    np.divide(1.0, e, out=e)
+    e -= 0.5
+    np.copysign(e, xd, out=e)
+    e += 0.5
+    return e
 
 
 def sigmoid(x) -> Tensor:
@@ -474,7 +481,10 @@ def reshape(x, shape) -> Tensor:
 
 def transpose(x, axes=None) -> Tensor:
     x = as_tensor(x)
-    out = np.transpose(x.data, axes)
+    try:
+        out = np.transpose(x.data, axes)
+    except ValueError:      # numpy's AxisError, or axes of the wrong length
+        raise _op_error(ShapeError, f"transpose: axes {axes} do not fit shape {x.data.shape}") from None
     if axes is None:
         inv = None
     else:
@@ -505,7 +515,10 @@ def getitem(x, key) -> Tensor:
     """Basic indexing (ints, slices, ellipsis). For fancy gathers use
     gather_rows / take_along_last."""
     x = as_tensor(x)
-    out = x.data[key]
+    try:
+        out = x.data[key]
+    except IndexError:
+        raise _op_error(ShapeError, f"getitem: key {key!r} out of range for shape {x.data.shape}") from None
     shape = x.data.shape
 
     def bwd(g):
@@ -556,7 +569,10 @@ def take_along_last(x, idx) -> Tensor:
     """out[..., j] = x[..., idx[..., j]] along the last axis."""
     x = as_tensor(x)
     idx = np.asarray(idx)
-    out = np.take_along_axis(x.data, idx, axis=-1)
+    try:
+        out = np.take_along_axis(x.data, idx, axis=-1)
+    except IndexError:
+        raise _op_error(ShapeError, f"take_along_last: index out of range for shape {x.data.shape}") from None
     shape = x.data.shape
 
     def bwd(g):

@@ -107,16 +107,20 @@ class TestRoute:
 
 
 def moe_oracle(x, pool, ids, w):
-    """Plain-numpy chunk-routed MoE on one sequence: each chunk's tokens
-    run its selected experts' (silu(x Wg) * x Wi) Wo, weighted and summed."""
-    out = np.zeros_like(x)
-    for c, (s, t) in enumerate(chunk_spans(len(x), pool.chunk_size)):
+    """Chunk-routed MoE on one sequence, built from per-op tape ops: each
+    chunk's tokens x[s:t] run its selected experts' (silu(x Wg) * x Wi) Wo,
+    weighted by w[c, slot] and summed. x is [L, d], w [C, k]."""
+    chunks = []
+    for c, (s, t) in enumerate(chunk_spans(x.data.shape[0], pool.chunk_size)):
         xc = x[s:t]
-        for e, weight in zip(ids[c], w[c]):
+        acc = None
+        for slot, e in enumerate(ids[c]):
             ex = pool.experts[e]
-            a = xc @ ex.w_gate.data
-            out[s:t] += weight * (((a / (1.0 + np.exp(-a))) * (xc @ ex.w_in.data)) @ ex.w_out.data)
-    return out
+            y = T.matmul(T.mul(T.silu(T.matmul(xc, ex.w_gate)), T.matmul(xc, ex.w_in)), ex.w_out)
+            y = T.mul(y, w[c, slot])
+            acc = y if acc is None else T.add(acc, y)
+        chunks.append(acc)
+    return T.concat(chunks, axis=0)
 
 
 class TestMoeApplyEquivalence:
@@ -125,14 +129,27 @@ class TestMoeApplyEquivalence:
         params = build_hydra(cfg)
         pool = params.blocks[0].moe
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, 10, cfg.d))      # ragged: 10 tokens in chunks of 4
+        x = Tensor(rng.normal(size=(2, 10, cfg.d)), requires_grad=True)  # ragged: 10 tokens in chunks of 4
         ids = np.array([[[0, 1], [1, 2], [0, 2]], [[1, 2], [0, 2], [0, 1]]])
         w = rng.uniform(0.2, 0.8, size=(2, 3, 2))
-        w = w / w.sum(-1, keepdims=True)
-        with no_grad():
-            fast = moe_apply(Tensor(x), pool, ids, Tensor(w))
+        w = Tensor(w / w.sum(-1, keepdims=True), requires_grad=True)
+        r = rng.normal(size=(2, 10, cfg.d))
+        leaves = [x, w] + [p for _, p in pool.parameters()]
+
+        def grads_of(loss):
+            for t in leaves:
+                t.zero_grad()
+            backward(loss)
+            return [t.grad.copy() for t in leaves]
+
+        fast = moe_apply(x, pool, ids, w)
+        fast_grads = grads_of(T.tsum(T.mul(fast, r)))
+        oracle = [moe_oracle(x[b], pool, ids[b], w[b]) for b in range(2)]
+        oracle_grads = grads_of(T.add(T.tsum(T.mul(oracle[0], r[0])), T.tsum(T.mul(oracle[1], r[1]))))
         for b in range(2):
-            np.testing.assert_allclose(fast.data[b], moe_oracle(x[b], pool, ids[b], w[b]), atol=1e-12)
+            np.testing.assert_allclose(fast.data[b], oracle[b].data, rtol=0, atol=1e-12)
+        for (name, _), gf, go in zip([("x", x), ("w", w)] + pool.parameters(), fast_grads, oracle_grads):
+            np.testing.assert_allclose(gf, go, rtol=1e-12, atol=1e-12 * np.abs(go).max(), err_msg=name)
 
 
 class TestTriPathBlock:

@@ -1,8 +1,11 @@
 """Mixture-of-experts: routing, conditional compute, balance loss."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hydra_lab import moe
 from hydra_lab import tensor as T
 from hydra_lab.moe import (
     chunk_spans,
@@ -10,6 +13,7 @@ from hydra_lab.moe import (
     init_expert_pool,
     load_balance_loss,
     moe_apply,
+    moe_tape_ops,
     top2_pairs,
 )
 from hydra_lab.tensor import Tensor, backward, no_grad
@@ -169,6 +173,83 @@ class TestMoeForward:
             out = moe_apply(x, pool, ids, w).data[0]
             tail = 0.1 * pool.experts[1](x).data[0, 8:] + 0.9 * pool.experts[2](x).data[0, 8:]
         np.testing.assert_allclose(out[8:], tail, atol=1e-12)
+
+
+class TestSwigluOp:
+    """One expert call is one ``swiglu`` tape op with a hand-written backward."""
+
+    @pytest.fixture
+    def expert(self):
+        rng = np.random.default_rng(20)
+        e = init_expert_pool(d=5, hidden=6, n_experts=1, chunk_size=4, rng=rng).experts[0]
+        x = Tensor(rng.normal(size=(7, 5)), requires_grad=True)    # a ragged row count
+        return e, x, rng.normal(size=(7, 5))
+
+    @pytest.mark.parametrize("name", ["x", "w_gate", "w_in", "w_out"])
+    def test_grad_check_every_input(self, expert, name):
+        e, x, weight = expert
+
+        def loss(t):
+            ex = e if name == "x" else replace(e, **{name: t})
+            return T.tsum(T.mul(ex(t if name == "x" else x), weight))
+
+        rep = T.grad_check(loss, x if name == "x" else getattr(e, name), h=1e-6, tol=1e-6)
+        assert rep.passed, rep
+
+    def test_one_tape_op(self, expert):
+        e, x, _ = expert
+        T.reset_tape()
+        e(x)
+        assert T.tape_size() == 1 and T._TAPE[0].name == "swiglu"
+        assert T._TAPE[0].inputs == (x, e.w_gate, e.w_in, e.w_out)
+        T.reset_tape()
+
+    def test_recorded_and_no_grad_forward_bit_identical(self, expert):
+        e, x, _ = expert
+        T.reset_tape()
+        recorded = e(x)
+        T.reset_tape()
+        with no_grad():
+            plain = e(x)
+        assert recorded.requires_grad and not plain.requires_grad
+        np.testing.assert_array_equal(recorded.data, plain.data)
+        # the per-op chain it replaces, bit for bit
+        with no_grad():
+            chain = T.matmul(T.mul(T.silu(T.matmul(x, e.w_gate)), T.matmul(x, e.w_in)), e.w_out)
+        np.testing.assert_array_equal(plain.data, chain.data)
+
+
+class TestDispatch:
+    """The rows ``moe_apply`` hands to ``scatter_rows``, and its tape cost."""
+
+    def test_rows_distinct_per_expert_and_each_token_covered_k_times(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        pool = init_expert_pool(d=4, hidden=4, n_experts=4, chunk_size=3, rng=rng)
+        x = Tensor(rng.normal(size=(3, 11, 4)))                    # ragged last chunk
+        _, ids, weights = route_all(x, pool, Tensor(rng.normal(size=(4, 4))))
+        seen = []
+        scatter = moe.scatter_rows
+        monkeypatch.setattr(moe, "scatter_rows", lambda parts, n: seen.append(parts) or scatter(parts, n))
+        with no_grad():
+            moe_apply(x, pool, ids, weights)
+        (parts,) = seen
+        for _, rows in parts:
+            assert np.unique(rows).size == rows.size
+        counts = np.bincount(np.concatenate([rows for _, rows in parts]), minlength=3 * 11)
+        np.testing.assert_array_equal(counts, ids.shape[-1])
+
+    @pytest.mark.parametrize("E", [2, 4])
+    def test_tape_ops_per_call(self, E):
+        rng = np.random.default_rng(22)
+        pool = init_expert_pool(d=4, hidden=4, n_experts=E, chunk_size=4, rng=rng)
+        x = Tensor(rng.normal(size=(2, 10, 4)), requires_grad=True)
+        ids, w = fixed_routing([0, 1], [0.5, 0.5], B=2, C=3)
+        ids[1] = np.arange(E).reshape(-1, 2)[np.arange(3) % (E // 2)]   # every expert gets work
+        w.requires_grad = True              # router weights carry gradient in the model
+        T.reset_tape()
+        moe_apply(x, pool, ids, w)
+        assert T.tape_size() == moe_tape_ops(E)
+        T.reset_tape()
 
 
 def _counting(expert, rows):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hydra_lab import moe
 from hydra_lab import tensor as T
 from hydra_lab.tensor import (
     NumericError,
@@ -317,6 +318,30 @@ class TestRandomOpGradients:
         assert rep.passed, rep
 
 
+def sigmoid_oracle(xd):
+    """The clipped formula ``_stable_sigmoid`` replaced, kept as its oracle."""
+    out = np.exp(-np.clip(np.abs(xd), 0.0, 709.0))
+    out = 1.0 / (1.0 + out)
+    return np.where(xd >= 0, out, 1.0 - out)
+
+
+class TestStableSigmoid:
+    def test_bit_identical_to_clipped_formula(self):
+        special = np.array([0.0, 1e-300, 5e-324, 708.0, 709.0, 710.0, 745.0, 800.0, np.inf])
+        rng = np.random.default_rng(40)
+        x = np.concatenate([rng.normal(0.0, 30.0, size=20000), rng.normal(0.0, 1e-3, size=2000),
+                            special, -special])
+        got = T._stable_sigmoid(x)
+        np.testing.assert_array_equal(got.view(np.int64), sigmoid_oracle(x).view(np.int64))
+
+    def test_shape_kept_and_input_untouched(self):
+        x = np.random.default_rng(41).normal(size=(3, 4))
+        before = x.copy()
+        assert T._stable_sigmoid(x).shape == (3, 4)
+        assert T._stable_sigmoid(np.array(-2.0)).shape == ()
+        np.testing.assert_array_equal(x, before)
+
+
 class TestAllocator:
     def test_peak_tracks_allocations(self):
         T.reset_peak_memory()
@@ -347,13 +372,14 @@ class TestTapeAfterFailure:
         assert T.tape_size() == 0
 
     @pytest.mark.parametrize("fail", ["add_shape", "matmul_shape", "reshape_shape", "concat_shape",
-                                      "layer_norm_usage"])
+                                      "layer_norm_usage", "transpose_axis", "getitem_index",
+                                      "take_along_last_index", "scatter_rows_index", "load_balance_usage"])
     def test_shape_or_usage_error_clears_tape(self, fail):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         T.reset_tape()
         h = T.matmul(T.mul(x, 2.0), np.ones((3, 3)))   # two ops recorded before the failure
         assert T.tape_size() == 2
-        err = UsageError if fail == "layer_norm_usage" else ShapeError
+        err = UsageError if fail in ("layer_norm_usage", "load_balance_usage") else ShapeError
         with pytest.raises(err):
             if fail == "add_shape":
                 T.add(h, np.ones((4, 3)))
@@ -363,8 +389,18 @@ class TestTapeAfterFailure:
                 T.reshape(h, (5,))
             elif fail == "concat_shape":
                 T.concat([h, np.ones((2, 4))], axis=0)
-            else:
+            elif fail == "layer_norm_usage":
                 T.layer_norm(h, np.ones(3), np.zeros(3), eps=0.0)
+            elif fail == "transpose_axis":
+                T.transpose(h, (0, 5))
+            elif fail == "getitem_index":
+                h[5]
+            elif fail == "take_along_last_index":
+                T.take_along_last(h, np.array([[0, 3], [1, 2]]))
+            elif fail == "scatter_rows_index":
+                moe.scatter_rows([(h, np.array([0, 4]))], 3)
+            else:
+                moe.load_balance_loss(Tensor(np.ones((0, 4))), np.full(4, 0.25))
         assert T.tape_size() == 0
 
     def test_failed_backward_clears_tape(self):
