@@ -22,7 +22,7 @@ class ShapeError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """An op produced NaN/Inf, or an input violated its domain."""
+    """An op produced NaN/Inf, or a parameter received a non-finite gradient."""
 
 
 class UsageError(ValueError):
@@ -160,12 +160,6 @@ class Tensor:
             raise UsageError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self):
         self.grad = None
 
@@ -178,41 +172,16 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return getitem(self, key)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes if axes else None)
 
 
 def as_tensor(x) -> Tensor:
@@ -276,17 +245,6 @@ def add(a, b) -> Tensor:
     return _make_output(out, (a, b), bwd, "add")
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _broadcast_shape(a, b, "sub")
-    out = a.data - b.data
-
-    def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _make_output(out, (a, b), bwd, "sub")
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _broadcast_shape(a, b, "mul")
@@ -325,56 +283,6 @@ def sigmoid(x) -> Tensor:
         return (g * s * (1.0 - s),)
 
     return _make_output(s, (x,), bwd, "sigmoid")
-
-
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.tanh(x.data)
-    t = out
-
-    def bwd(g):
-        return (g * (1.0 - t * t),)
-
-    return _make_output(out, (x,), bwd, "tanh")
-
-
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    with np.errstate(over="raise"):
-        try:
-            out = np.exp(x.data)
-        except FloatingPointError:
-            raise _op_error(NumericError, "exp overflow") from None
-    e = out
-
-    def bwd(g):
-        return (g * e,)
-
-    return _make_output(out, (x,), bwd, "exp")
-
-
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    if np.any(x.data <= 0):
-        raise _op_error(NumericError, "log domain violation: input must be positive")
-    out = np.log(x.data)
-    xd = x.data
-
-    def bwd(g):
-        return (g / xd,)
-
-    return _make_output(out, (x,), bwd, "log")
-
-
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.maximum(x.data, 0.0)
-    mask = x.data > 0
-
-    def bwd(g):
-        return (g * mask,)
-
-    return _make_output(out, (x,), bwd, "relu")
 
 
 def silu(x) -> Tensor:

@@ -1,9 +1,10 @@
-"""Optimizers, losses, the staged-activation curriculum, report records,
-and the generic training loop that the protocols in ``experiments.py``
-drive.
+"""Optimizers, losses, report records, and the generic training loop
+that the protocols in ``experiments.py`` drive.
 
 ``train_model`` trains one arm (a model kind plus optional ablations),
-logs one report row per epoch, and evaluates at the end. The auxiliary
+logs one report row per epoch, and evaluates at the end. Every path
+that is not ablated trains from the first step; ablated paths stay
+frozen at their initial weights. The auxiliary
 objectives follow the architecture: a Switch-style balance term on the
 expert router whenever a mixture is live, and an optional mean-gate
 penalty on the memory interpolation weights so retrieval only stays
@@ -109,65 +110,6 @@ def perplexity(loss_value: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# curriculum (staged component activation)
-
-@dataclass
-class CurriculumSchedule:
-    """Half-open step boundaries for phases A | B | C | D."""
-    phase_a_end: int
-    phase_b_end: int
-    phase_c_end: int
-    tau_start: float = 0.9
-    tau_final: float = 0.5
-
-    def __post_init__(self):
-        if not 0 <= self.phase_a_end <= self.phase_b_end <= self.phase_c_end:
-            raise UsageError("curriculum phases must be contiguous and ordered")
-
-
-@dataclass
-class PhaseFlags:
-    phase: str
-    ablate: frozenset      # components hard-off at this step
-    tau: float
-    balance_weight: float
-
-
-def curriculum_step(schedule: CurriculumSchedule, step: int) -> PhaseFlags:
-    """Component enablement at a step; boundary steps join the later phase."""
-    if step < schedule.phase_a_end:
-        return PhaseFlags("A", frozenset({"sga", "moe", "workspace", "pkm"}),
-                          tau=1.0, balance_weight=0.0)
-    if step < schedule.phase_b_end:
-        span = max(1, schedule.phase_b_end - schedule.phase_a_end)
-        frac = (step - schedule.phase_a_end) / span
-        tau = schedule.tau_start + frac * (schedule.tau_final - schedule.tau_start)
-        return PhaseFlags("B", frozenset({"moe", "workspace", "pkm"}),
-                          tau=float(tau), balance_weight=0.0)
-    if step < schedule.phase_c_end:
-        return PhaseFlags("C", frozenset({"workspace", "pkm"}),
-                          tau=schedule.tau_final, balance_weight=0.01)
-    return PhaseFlags("D", frozenset(), tau=schedule.tau_final, balance_weight=0.01)
-
-
-def param_phase(name: str) -> str:
-    """Earliest curriculum phase at which a parameter unfreezes."""
-    if ".sga." in name or name.endswith("gates.g2") or name == "router.w_sga":
-        return "B"
-    if ".moe." in name or name.endswith("gates.g3") or name == "router.w_moe":
-        return "C"
-    if name.startswith(("workspace.", "pkm.")) or name.startswith("router.w_mem"):
-        return "D"
-    return "A"
-
-
-def frozen_for_phase(named_params, phase: str) -> set:
-    order = "ABCD"
-    cutoff = order.index(phase)
-    return {n for n, _ in named_params if order.index(param_phase(n)) > cutoff}
-
-
-# ---------------------------------------------------------------------------
 # reports
 
 TRAIN_REPORT_COLUMNS = [
@@ -227,7 +169,6 @@ class TrainSettings:
     balance_weight: float = 0.01
     gate_penalty: float = 0.0
     explore_sga: bool = False
-    curriculum: CurriculumSchedule | None = None
     log_every_epoch: bool = True
 
 
@@ -278,7 +219,7 @@ def train_model(kind: str, config: ModelConfig, params, train_samples, eval_samp
     explore_rng = substream(seed, "train.explore") if settings.explore_sga else None
     report = report if report is not None else TrainReport()
     has_moe = kind == "hydra" and "moe" not in ablate and len(config.moe_block_ids()) > 0
-    step = 0
+    bal_w = settings.balance_weight if has_moe else 0.0
     frozen_static = {n for n, _ in named if ablate and any(
         a in n for a in ({"workspace": "workspace.", "pkm": "pkm.", "sga": ".sga.", "moe": ".moe."}[x] for x in ablate))}
 
@@ -300,29 +241,18 @@ def train_model(kind: str, config: ModelConfig, params, train_samples, eval_samp
             toks = np.stack([s.tokens for s in batch])
             targets, mask = _answer_targets(batch, toks.shape[1])
 
-            flags = None
-            ab = ablate
-            tau = config.sga_threshold
-            bal_w = settings.balance_weight if has_moe else 0.0
-            if settings.curriculum is not None:
-                flags = curriculum_step(settings.curriculum, step)
-                ab = ablate | flags.ablate
-                tau = flags.tau
-                bal_w = flags.balance_weight if has_moe else 0.0
-
             stats = {}
-            cfg = config if tau == config.sga_threshold else _with_tau(config, tau)
-            logits = _forward(kind, toks, cfg, params, train_mode=True, ablate=ab,
+            logits = _forward(kind, toks, config, params, train_mode=True, ablate=ablate,
                               stats=stats, explore_rng=explore_rng)
             loss = lm_loss(logits, targets, mask)
-            if kind == "hydra" and bal_w and "moe" not in ab:
+            if bal_w:
                 dec = stats["decision"]
                 E = config.n_experts
                 dist = T.reshape(dec.full_distribution, (-1, E))
                 bal = load_balance_loss(dist, dispatch_fractions(dec.expert_ids, E))
                 loss = T.add(loss, T.mul(bal, bal_w))
                 ep_bal += bal.item()
-            if kind == "hydra" and settings.gate_penalty and ("pkm" not in ab or "workspace" not in ab):
+            if kind == "hydra" and settings.gate_penalty and ("pkm" not in ablate or "workspace" not in ablate):
                 dec = stats["decision"]
                 gate = T.add(T.tmean(dec.beta_pkm), T.tmean(dec.beta_ws))
                 loss = T.add(loss, T.mul(gate, settings.gate_penalty))
@@ -330,10 +260,7 @@ def train_model(kind: str, config: ModelConfig, params, train_samples, eval_samp
 
             ep_loss += loss.item()
             backward(loss)
-            frozen = set(frozen_static)
-            if flags is not None:
-                frozen |= frozen_for_phase(named, flags.phase)
-            adam_step(named, state, frozen=frozen)
+            adam_step(named, state, frozen=frozen_static)
             zero_grads(named)
 
             if kind == "hydra":
@@ -341,7 +268,6 @@ def train_model(kind: str, config: ModelConfig, params, train_samples, eval_samp
                                stats.get("mean_beta_pkm", 0.0)]
                 hist += stats.get("expert_histogram", np.zeros(config.n_experts))
             n_batches += 1
-            step += 1
 
         acc = eval_fn(params) if settings.log_every_epoch or epoch == settings.epochs - 1 else ""
         hist_norm = hist / max(hist.sum(), 1.0)
@@ -356,12 +282,6 @@ def train_model(kind: str, config: ModelConfig, params, train_samples, eval_samp
             seed=seed, wall_time_s=round(time.perf_counter() - t0, 3),
         )
     return report
-
-
-def _with_tau(config: ModelConfig, tau: float) -> ModelConfig:
-    d = config.to_dict()
-    d["sga_threshold"] = tau
-    return ModelConfig.from_dict(d)
 
 
 def evaluate_accuracy(kind, config, params, samples, ablate=frozenset(),

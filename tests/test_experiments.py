@@ -1,5 +1,5 @@
 """Experiment protocol mechanics at micro scale (fast smoke checks;
-the full-budget reproductions live in test_acceptance.py)."""
+the full-budget reproductions run through `hydra-lab train` at --scale 1)."""
 
 import numpy as np
 import pytest

@@ -1,4 +1,4 @@
-"""Optimizer, loss, curriculum, and training-loop mechanics."""
+"""Optimizer, loss, and training-loop mechanics."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,11 @@ from hydra_lab.model import ModelConfig, build_hydra
 from hydra_lab.tasks import gen_logic_chain, logic_vocab
 from hydra_lab.tensor import NumericError, Tensor, UsageError, backward
 from hydra_lab.training import (
-    CurriculumSchedule,
     OptimState,
     TrainReport,
     TrainSettings,
     adam_step,
-    curriculum_step,
-    frozen_for_phase,
     lm_loss,
-    param_phase,
     perplexity,
     train_model,
     zero_grads,
@@ -123,48 +119,7 @@ class TestLmLoss:
         assert rep.passed
 
 
-class TestCurriculum:
-    def setup_method(self):
-        self.sched = CurriculumSchedule(phase_a_end=10, phase_b_end=20, phase_c_end=30)
-
-    def test_step_zero_is_phase_a(self):
-        f = curriculum_step(self.sched, 0)
-        assert f.phase == "A"
-        assert f.ablate == {"sga", "moe", "workspace", "pkm"}
-
-    def test_past_all_boundaries_is_phase_d(self):
-        f = curriculum_step(self.sched, 999)
-        assert f.phase == "D" and f.ablate == frozenset()
-
-    def test_boundary_joins_later_phase(self):
-        assert curriculum_step(self.sched, 10).phase == "B"
-        assert curriculum_step(self.sched, 20).phase == "C"
-        assert curriculum_step(self.sched, 30).phase == "D"
-
-    def test_tau_anneals_in_b(self):
-        f0 = curriculum_step(self.sched, 10)
-        f1 = curriculum_step(self.sched, 19)
-        assert f0.tau == pytest.approx(0.9)
-        assert f0.tau > f1.tau >= 0.5
-
-    def test_balance_weight_from_c(self):
-        assert curriculum_step(self.sched, 15).balance_weight == 0.0
-        assert curriculum_step(self.sched, 25).balance_weight > 0.0
-
-    def test_param_phases(self):
-        assert param_phase("blocks.0.ssm.input_proj") == "A"
-        assert param_phase("embedding") == "A"
-        assert param_phase("blocks.1.sga.q_proj") == "B"
-        assert param_phase("blocks.0.gates.g2") == "B"
-        assert param_phase("router.w_sga") == "B"
-        assert param_phase("blocks.1.moe.expert0.w_in") == "C"
-        assert param_phase("router.w_moe") == "C"
-        assert param_phase("workspace.init_slots") == "D"
-        assert param_phase("pkm.values") == "D"
-        assert param_phase("router.w_mem_pkm") == "D"
-
-
-def tiny_run(seed=0, epochs=2, curriculum=None, ablate=()):
+def tiny_run(seed=0, epochs=2, ablate=()):
     vocab = logic_vocab(10)
     cfg = ModelConfig(vocab=vocab.size, d=16, n_blocks=2, n_heads=2, chunk_size=4,
                       routing_dim=8, n_experts=2, moe_hidden=16, sga_window=8,
@@ -174,22 +129,12 @@ def tiny_run(seed=0, epochs=2, curriculum=None, ablate=()):
     train = [gen_logic_chain(10, 1, s) for s in range(32)]
     evals = [gen_logic_chain(10, 1, 1000 + s) for s in range(8)]
     params = build_hydra(cfg)
-    settings = TrainSettings(epochs=epochs, batch_size=8, curriculum=curriculum)
+    settings = TrainSettings(epochs=epochs, batch_size=8)
     report = train_model("hydra", cfg, params, train, evals, settings, seed, ablate=ablate)
     return cfg, params, report
 
 
 class TestTrainLoop:
-    def test_phase_a_freezes_non_ssm_params(self):
-        sched = CurriculumSchedule(phase_a_end=100, phase_b_end=200, phase_c_end=300)
-        cfg, params, _ = tiny_run(curriculum=sched, epochs=1)
-        fresh = build_hydra(cfg)
-        for (name, p), (_, q) in zip(params.parameters(), fresh.parameters()):
-            if param_phase(name) != "A":
-                np.testing.assert_array_equal(p.data, q.data), name
-            elif name.startswith("blocks.0.ssm"):
-                assert np.abs(p.data - q.data).max() > 0, name
-
     def test_ablated_component_params_frozen(self):
         cfg, params, _ = tiny_run(ablate=("workspace",), epochs=1)
         fresh = build_hydra(cfg)
