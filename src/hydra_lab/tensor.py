@@ -1,7 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A deliberately small define-by-run engine: every forward op appends one
-entry to a global tape, and ``backward`` replays the tape in reverse.
+entry to a global tape, and ``backward`` replays the tape in reverse,
+popping each op as it goes, so the arrays an op saved for its backward
+rule are released once that rule has run, not at the end of the sweep.
 All storage is row-major float64. Broadcasting is numpy's trailing-dim
 alignment only. Every op checks its output for NaN/Inf, so overflow is
 an error rather than a silent value. A failed op (shape, usage or
@@ -529,6 +531,52 @@ def log_softmax(x, axis=-1) -> Tensor:
     return _make_output(out, (x,), bwd, "log_softmax")
 
 
+def cross_entropy(logits, targets, mask) -> Tensor:
+    """Mean next-token cross-entropy over the positions ``mask`` weights:
+    ``-sum(mask * log_softmax(logits)[targets]) / sum(mask)``, as one op.
+
+    The forward uses one [..., V] buffer. Only when the op is recorded is
+    that buffer turned into the probabilities ``p``, the one array kept;
+    the backward rule writes the logits gradient ``(p - onehot) * mask/n``
+    into ``p`` in place. The float operations and their order are those of
+    ``log_softmax``, a target gather, a masked sum and a scale by ``-1/n``,
+    so the loss and the gradient equal that chain's bit for bit.
+    """
+    x = as_tensor(logits)
+    xd = x.data
+    targets = np.asarray(targets, dtype=np.int64)
+    mask = np.asarray(mask)
+    n = float(mask.sum())
+    if n == 0:
+        raise _op_error(UsageError, "cross_entropy: mask selects no positions")
+    m = xd.max(axis=-1, keepdims=True)
+    buf = xd - m
+    try:
+        picked = np.take_along_axis(buf, targets[..., None], axis=-1)
+    except (IndexError, ValueError):
+        raise _op_error(ShapeError,
+                        f"cross_entropy: targets {targets.shape} do not index logits {xd.shape}") from None
+    np.exp(buf, out=buf)
+    lse = np.log(buf.sum(axis=-1, keepdims=True))
+    picked -= lse
+    maskf = mask.astype(float)
+    loss = np.asarray((picked.reshape(targets.shape) * maskf).sum() * (-1.0 / n))
+
+    p = None
+    if _GRAD_ENABLED and x.requires_grad:
+        p = np.subtract(xd, m, out=buf)
+        p -= lse
+        np.exp(p, out=p)
+
+    def bwd(g):
+        c = (g * (1.0 / n)) * maskf
+        np.multiply(p, c[..., None], out=p)
+        p[(*np.indices(targets.shape, sparse=True), targets)] -= c
+        return (p,)
+
+    return _make_output(loss, (x,), bwd, "cross_entropy")
+
+
 def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then
     apply the affine (gain, bias)."""
@@ -565,8 +613,10 @@ def backward(loss: Tensor):
     """Reverse-mode sweep from a scalar ``loss`` over the active tape.
 
     Populates ``.grad`` (additively) on every requires_grad leaf that
-    contributed to the loss, then clears the tape, also when a backward
-    rule raises.
+    contributed to the loss. Each op leaves the tape as its rule is about
+    to run, so its closure and the arrays it saved are freed as the sweep
+    moves on rather than at its end. The tape is empty afterwards, also
+    when a backward rule raises.
     """
     if not isinstance(loss, Tensor):
         raise UsageError("backward expects a Tensor")
@@ -576,7 +626,8 @@ def backward(loss: Tensor):
         # grad_map values are (array, owned); in-place accumulation only on
         # arrays this sweep allocated, since backward rules may alias inputs
         grad_map: dict[int, list] = {loss.node_id: [np.ones_like(loss.data), True]}
-        for op in reversed(_TAPE):
+        while _TAPE:
+            op = _TAPE.pop()
             entry = grad_map.pop(op.output.node_id, None)
             if entry is None:
                 continue

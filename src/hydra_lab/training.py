@@ -26,7 +26,7 @@ from .model import ModelConfig, hydra_forward, transformer_forward
 from .moe import dispatch_fractions, load_balance_loss
 from .rng import substream
 from .tasks import TaskSample
-from .tensor import Tensor, UsageError, backward, no_grad
+from .tensor import Tensor, backward, no_grad
 
 EXPERIMENTS = ("logic", "efficiency", "wikitext", "pkm_recall", "distant_premise", "moe_dense")
 
@@ -93,16 +93,13 @@ def zero_grads(named_params):
 # loss
 
 def lm_loss(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean cross-entropy over masked positions (perplexity = exp)."""
-    targets = np.asarray(targets, dtype=np.int64)
-    mask = np.asarray(mask)
-    n = float(mask.sum())
-    if n == 0:
-        raise UsageError("lm_loss: mask selects no positions")
-    logp = T.log_softmax(logits, axis=-1)
-    picked = T.take_along_last(logp, targets[..., None])
-    picked = T.reshape(picked, targets.shape)
-    return T.tsum(T.mul(picked, Tensor(mask.astype(float)))) * (-1.0 / n)
+    """Mean cross-entropy over masked positions (perplexity = exp).
+
+    One tape op, ``T.cross_entropy``. It keeps the [..., V] probabilities
+    for its backward only when it is recorded; under ``no_grad`` it keeps
+    nothing. An empty mask raises ``UsageError``.
+    """
+    return T.cross_entropy(logits, targets, mask)
 
 
 def perplexity(loss_value: float) -> float:
@@ -160,13 +157,16 @@ def write_run_records(path, records):
 # ---------------------------------------------------------------------------
 # generic training loop
 
+#: weight of the Switch-style balance term whenever a mixture is live
+BALANCE_WEIGHT = 0.01
+
+
 @dataclass
 class TrainSettings:
     epochs: int
     batch_size: int
     lr: float = 1e-3
     weight_decay: float = 0.0
-    balance_weight: float = 0.01
     gate_penalty: float = 0.0
     explore_sga: bool = False
     log_every_epoch: bool = True
@@ -219,7 +219,7 @@ def train_model(kind: str, config: ModelConfig, params, train_samples, eval_samp
     explore_rng = substream(seed, "train.explore") if settings.explore_sga else None
     report = report if report is not None else TrainReport()
     has_moe = kind == "hydra" and "moe" not in ablate and len(config.moe_block_ids()) > 0
-    bal_w = settings.balance_weight if has_moe else 0.0
+    bal_w = BALANCE_WEIGHT if has_moe else 0.0
     frozen_static = {n for n, _ in named if ablate and any(
         a in n for a in ({"workspace": "workspace.", "pkm": "pkm.", "sga": ".sga.", "moe": ".moe."}[x] for x in ablate))}
 

@@ -1,5 +1,8 @@
 """Autodiff engine: forward values, backward rules, and tape behavior."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -344,6 +347,60 @@ class TestAllocator:
         assert T.peak_memory_mb() < base + 8.0
 
 
+class TestTapeRelease:
+    """``backward`` frees each op, and what it saved, once its rule has run."""
+
+    def test_interior_output_dead_before_earlier_rule_runs(self):
+        x = Tensor(np.ones(4), requires_grad=True)
+        T.reset_tape()
+        seen = []
+
+        def probe_rule(g):
+            seen.append(ref())
+            return (g * 2.0,)
+
+        def build():
+            h = T._make_output(x.data * 2.0, (x,), probe_rule, "probe")
+            h = T.mul(h, 3.0)
+            h = T.mul(h, 4.0)
+            return weakref.ref(h), T.tsum(T.mul(h, 5.0))
+
+        ref, loss = build()
+        assert ref() is not None
+        backward(loss)
+        assert seen == [None]
+        np.testing.assert_array_equal(x.grad, np.full(4, 120.0))
+
+    def test_live_bytes_in_first_rule_stay_small(self):
+        mib = 2**20
+        x = Tensor(np.ones(mib // 8), requires_grad=True)
+        T.reset_tape()
+        live = []
+
+        def build():
+            saved = x.data * 2.0                # a fresh 1 MiB array the op keeps
+
+            def rule(g):
+                live.append(tracemalloc.get_traced_memory()[0] - base)
+                return (g * 2.0,)
+
+            h = T._make_output(saved, (x,), rule, "saves")
+            for _ in range(16):
+                h = T.mul(h, 1.0)
+            return T.tsum(h)
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            backward(build())
+        finally:
+            tracemalloc.stop()
+        # the rule's own array and its incoming gradient: 2 MiB; keeping the
+        # sixteen mul outputs for the whole sweep would add 16 MiB more
+        assert live[0] < 4 * mib
+        np.testing.assert_array_equal(x.grad, np.full(mib // 8, 2.0))
+
+
 class TestTapeAfterFailure:
     """A failed forward or backward leaves no ops behind on the tape."""
 
@@ -359,13 +416,14 @@ class TestTapeAfterFailure:
 
     @pytest.mark.parametrize("fail", ["add_shape", "matmul_shape", "reshape_shape", "concat_shape",
                                       "layer_norm_usage", "transpose_axis", "getitem_index",
-                                      "take_along_last_index", "scatter_rows_index", "load_balance_usage"])
+                                      "take_along_last_index", "scatter_rows_index", "load_balance_usage",
+                                      "cross_entropy_index", "cross_entropy_usage"])
     def test_shape_or_usage_error_clears_tape(self, fail):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         T.reset_tape()
         h = T.matmul(T.mul(x, 2.0), np.ones((3, 3)))   # two ops recorded before the failure
         assert T.tape_size() == 2
-        err = UsageError if fail in ("layer_norm_usage", "load_balance_usage") else ShapeError
+        err = UsageError if fail.endswith("_usage") else ShapeError
         with pytest.raises(err):
             if fail == "add_shape":
                 T.add(h, np.ones((4, 3)))
@@ -385,6 +443,10 @@ class TestTapeAfterFailure:
                 T.take_along_last(h, np.array([[0, 3], [1, 2]]))
             elif fail == "scatter_rows_index":
                 moe.scatter_rows([(h, np.array([0, 4]))], 3)
+            elif fail == "cross_entropy_index":
+                T.cross_entropy(h, np.array([0, 3]), np.ones(2))
+            elif fail == "cross_entropy_usage":
+                T.cross_entropy(h, np.array([0, 2]), np.zeros(2))
             else:
                 moe.load_balance_loss(Tensor(np.ones((0, 4))), np.full(4, 0.25))
         assert T.tape_size() == 0
@@ -401,3 +463,18 @@ class TestTapeAfterFailure:
         with pytest.raises(RuntimeError):
             T.backward(loss)
         assert T.tape_size() == 0
+
+    def test_rule_raising_mid_sweep_clears_tape(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        T.reset_tape()
+
+        def broken_rule(g):
+            raise RuntimeError("backward rule failed")
+
+        h = T.mul(x, 3.0)                       # still on the tape when the rule raises
+        y = T._make_output(h.data * 2.0, (h,), broken_rule, "broken")
+        loss = T.tsum(T.add(y, 1.0))
+        with pytest.raises(RuntimeError):
+            T.backward(loss)
+        assert T.tape_size() == 0
+        assert x.grad is None

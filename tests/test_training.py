@@ -68,6 +68,23 @@ class TestAdam:
         assert a.data[0] != 1.0 and b.data[0] == 1.0
 
 
+def lm_loss_oracle(logits, targets, mask):
+    """The six-op chain ``lm_loss`` recorded before it became one fused op."""
+    targets = np.asarray(targets, dtype=np.int64)
+    mask = np.asarray(mask)
+    n = float(mask.sum())
+    logp = T.log_softmax(logits, axis=-1)
+    picked = T.take_along_last(logp, targets[..., None])
+    picked = T.reshape(picked, targets.shape)
+    return T.tsum(T.mul(picked, Tensor(mask.astype(float)))) * (-1.0 / n)
+
+
+def partial_mask(rng, shape, kind):
+    keep = rng.random(shape) < 0.6
+    keep.flat[0] = True
+    return keep if kind == "bool" else keep * rng.uniform(0.25, 1.0, size=shape)
+
+
 class TestLmLoss:
     def test_uniform_logits(self):
         V = 31
@@ -117,6 +134,63 @@ class TestLmLoss:
         mask = np.ones((2, 4), bool)
         rep = T.grad_check(lambda t: lm_loss(t, targets, mask), logits, h=1e-5, tol=1e-5)
         assert rep.passed
+
+    @pytest.mark.parametrize("shape", [(2, 7, 11), (3, 5, 64)])
+    @pytest.mark.parametrize("kind", ["bool", "float"])
+    def test_bit_identical_to_six_op_chain(self, shape, kind):
+        rng = np.random.default_rng(sum(shape))
+        data = rng.normal(scale=3.0, size=shape)
+        targets = rng.integers(0, shape[-1], size=shape[:-1])
+        mask = partial_mask(rng, shape[:-1], kind)
+        results = []
+        for loss_fn in (lm_loss, lm_loss_oracle):
+            x = Tensor(data.copy(), requires_grad=True)
+            h = T.mul(x, 1.0)                   # the logits are an interior node, as in the model
+            loss = loss_fn(h, targets, mask)
+            backward(T.mul(loss, 0.37))         # an upstream gradient other than 1
+            results.append((loss.data, x.grad))
+        (loss, grad), (ref_loss, ref_grad) = results
+        assert np.array_equal(loss, ref_loss)
+        assert np.array_equal(grad, ref_grad)
+
+    def test_gradient_partial_mask(self):
+        rng = np.random.default_rng(3)
+        logits = Tensor(rng.normal(size=(2, 3, 7)), requires_grad=True)
+        targets = rng.integers(0, 7, size=(2, 3))
+        mask = partial_mask(rng, (2, 3), "float")
+        rep = T.grad_check(lambda t: lm_loss(t, targets, mask), logits, h=1e-5, tol=1e-5)
+        assert rep.passed
+
+    def test_one_tape_op_and_none_under_no_grad(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        targets = rng.integers(0, 5, size=(2, 3))
+        mask = np.ones((2, 3))
+        T.reset_tape()
+        loss = lm_loss(x, targets, mask)
+        assert T.tape_size() == 1 and loss.requires_grad
+        T.reset_tape()
+        with T.no_grad():
+            loss = lm_loss(x, targets, mask)
+        assert T.tape_size() == 0 and not loss.requires_grad
+
+    def test_masked_positions_get_zero_gradient(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(3, 4, 6)), requires_grad=True)
+        targets = rng.integers(0, 6, size=(3, 4))
+        mask = partial_mask(rng, (3, 4), "bool")
+        backward(lm_loss(x, targets, mask))
+        assert (x.grad[~mask] == 0.0).all()
+        assert (np.abs(x.grad[mask]).sum(axis=-1) > 0).all()
+
+    def test_inf_logit_raises_and_clears_tape(self):
+        x = Tensor(np.zeros((1, 3, 4)), requires_grad=True)
+        T.reset_tape()
+        h = T.mul(x, 1.0)
+        h.data[0, 1, 2] = np.inf
+        with pytest.raises(NumericError), np.errstate(invalid="ignore"):
+            lm_loss(h, np.zeros((1, 3), int), np.ones((1, 3)))
+        assert T.tape_size() == 0
 
 
 def tiny_run(seed=0, epochs=2, ablate=()):

@@ -1,0 +1,83 @@
+"""Live and peak memory of one training step, phase by phase.
+
+Run:  PYTHONPATH=src python tools/step_memory.py [--vocab 4096] [--batch 4] [--length 256]
+
+The defaults are the shape of the benchmark's ``train-256`` workload:
+``wikitext_config(vocab, 0)``, fresh ``build_hydra`` weights, and one step
+of forward (``train_mode=True``), ``lm_loss`` on the next tokens,
+``backward`` and AdamW (lr 1e-3, weight decay 0.01) from a fresh optimizer
+state. An untimed warm-up step runs first. For each phase the script
+prints the bytes live at its end and the peak during it, both in MiB above
+what was live before the step, from ``tracemalloc`` (numpy reports its
+buffers to it).
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import tracemalloc
+
+import numpy as np
+
+from hydra_lab import tensor as T
+from hydra_lab import training
+from hydra_lab.experiments import wikitext_config
+from hydra_lab.model import build_hydra, hydra_forward
+
+
+def _step(config, params, toks):
+    """One training step from a fresh optimizer state, yielding each
+    phase's name as it finishes."""
+    named = params.parameters()
+    state = training.OptimState(lr=1e-3, weight_decay=0.01)
+    logits = hydra_forward(toks[:, :-1], config, params, train_mode=True)
+    yield "forward"
+    loss = training.lm_loss(logits, toks[:, 1:], np.ones(toks[:, 1:].shape))
+    del logits                  # the tape holds it until backward frees it
+    yield "loss"
+    T.backward(loss)
+    yield "backward"
+    training.adam_step(named, state)
+    training.zero_grads(named)
+    yield "adam"
+
+
+def step_memory(vocab: int, batch: int, length: int) -> list[tuple[str, float, float]]:
+    """(phase, live MiB, peak MiB) of one step, above the pre-step baseline."""
+    config = wikitext_config(vocab, 0)
+    params = build_hydra(config)
+    toks = np.random.default_rng(0).integers(0, vocab, size=(batch, length + 1))
+    for _ in _step(config, params, toks):       # warm-up
+        pass
+    gc.collect()
+    rows = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for phase in _step(config, params, toks):
+            live, peak = tracemalloc.get_traced_memory()
+            rows.append((phase, (live - base) / 2**20, (peak - base) / 2**20))
+            tracemalloc.reset_peak()
+    finally:
+        tracemalloc.stop()
+    return rows
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--vocab", type=int, default=4096)
+    ap.add_argument("--batch", type=int, default=4)
+    ap.add_argument("--length", type=int, default=256)
+    args = ap.parse_args(argv)
+    rows = step_memory(args.vocab, args.batch, args.length)
+    print(f"# one training step, wikitext_config(vocab={args.vocab}), B={args.batch}, L={args.length}; "
+          "MiB above the pre-step baseline (tracemalloc)")
+    print(f"{'phase':<10} {'live_mib':>10} {'peak_mib':>10}")
+    for phase, live, peak in rows:
+        print(f"{phase:<10} {live:>10.1f} {peak:>10.1f}")
+    print(f"{'step':<10} {'':>10} {max(p for _, _, p in rows):>10.1f}")
+
+
+if __name__ == "__main__":
+    main()
