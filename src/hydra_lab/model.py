@@ -29,9 +29,9 @@ import numpy as np
 from . import tensor as T
 from .attention import DENSE_TAPE_OPS, SGA_TAPE_OPS, SgaLayerParams, init_sga_params, sga_cost, sga_forward
 from .moe import ExpertPool, chunk_spans, dispatch_fractions, init_expert_pool, moe_apply, moe_tape_ops, top2_pairs
-from .pkm import PkmStore, init_pkm_store, pkm_blend, pkm_query_batch
+from .pkm import PKM_TAPE_OPS, PkmStore, init_pkm_store, pkm_blend, pkm_query_batch
 from .rng import substream
-from .ssm import SsmLayerParams, init_ssm_params, ssm_scan
+from .ssm import SSM_TAPE_OPS, SsmLayerParams, init_ssm_params, ssm_scan
 from .tensor import Tensor, UsageError
 from .workspace import WorkspaceParams, init_workspace_params, workspace_read, workspace_write
 
@@ -555,7 +555,7 @@ def cost_model(config: ModelConfig, L: int, active: ActiveDecisions | None = Non
     # ssm path: three d x d projections, the recurrence, and the gate mult
     proj = 3 * FLOPS_PER_MAC * L * d * d
     recur = RECURRENCE_WEIGHT * 4 * L * d
-    comp["ssm"] = nb * (proj + recur + FLOPS_PER_MAC * L * d) + nb * OP_OVERHEAD_FLOPS * 12
+    comp["ssm"] = nb * (proj + recur + FLOPS_PER_MAC * L * d) + nb * OP_OVERHEAD_FLOPS * SSM_TAPE_OPS
 
     g = config.sga_max_globals if active.n_globals is None else active.n_globals
     if active.sga_on:
@@ -585,7 +585,7 @@ def cost_model(config: ModelConfig, L: int, active: ActiveDecisions | None = Non
         t = config.pkm_t
         comp["pkm"] = FLOPS_PER_MAC * L * (d * config.pkm_dk + t * t
                                            + config.pkm_kc * config.pkm_dv + config.pkm_dv * d) \
-            + OP_OVERHEAD_FLOPS * 12
+            + OP_OVERHEAD_FLOPS * PKM_TAPE_OPS
     else:
         comp["pkm"] = 0.0
 

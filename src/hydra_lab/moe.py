@@ -30,7 +30,8 @@ class ExpertFfn:
     One call is one tape op, ``swiglu`` (Shazeer 2020, arXiv 2002.05202),
     over x [..., d] and the three weights. Only a recorded call keeps its
     [rows, h] activations: a * sigmoid(a), sigmoid(a), x Wi and the hidden
-    product, where a = x Wg.
+    product, where a = x Wg. Under ``no_grad`` the SiLU runs in place on
+    ``a`` through ``T._silu``, with no [rows, h] sigmoid buffer.
     """
     w_gate: Tensor  # [d, h]
     w_in: Tensor    # [d, h]
@@ -46,10 +47,10 @@ class ExpertFfn:
         out_shape = xd.shape[:-1] + (wo.shape[1],)
         a = x2 @ wg
         b = x2 @ wi
-        s = T._stable_sigmoid(a)
-        a *= s          # silu(a), in place; the product order is ((a * s) * b)
+        _, s = T._silu(a, a, keep)     # silu(a) in place; the product order is ((a * s) * b)
         if not keep:
             a *= b
+            del b           # freed before the output is allocated
             return T._make_output((a @ wo).reshape(out_shape), inputs, None, "swiglu")
         hid = a * b
 

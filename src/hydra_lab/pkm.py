@@ -6,6 +6,10 @@ each half shortlists its top-t sub-keys, the t*t Cartesian candidates
 are scored additively, and the best K_c composites contribute values
 through a softmax over their scores. Retrieval therefore touches t*t
 candidates, never N^2; the exhaustive scorer exists as a test oracle.
+
+The value read is one tape op, ``pkm_read``: the weighted bag of value
+rows (Lample et al. 2019, arXiv 1907.05242), summed one composite at a
+time, so a query batch never holds a [L, K_c, d_v] array.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, UsageError
+from .tensor import ShapeError, Tensor, UsageError
 
 
 class _CandidateCounter:
@@ -80,17 +84,60 @@ def init_pkm_store(d, n_sub_keys, d_k, d_v, t, k_c, rng) -> PkmStore:
     )
 
 
+def pkm_read(alphas: Tensor, values: Tensor, ids: np.ndarray) -> Tensor:
+    """m[l] = sum over k of alphas[l, k] * values[ids[l, k]], as one op:
+    alphas and ids [L, K], values [R, d_v] -> m [L, d_v].
+
+    The forward adds one k at a time, in k order, into m, with one [L, d_v]
+    buffer for the gathered rows. The backward keeps nothing of its own.
+    The float operations and their order are those of ``gather_rows``,
+    ``mul`` and ``tsum`` over the [L, K, d_v] rows, so the value and both
+    gradients equal that chain's bit for bit.
+    """
+    ad, vd = alphas.data, values.data
+    ids = np.asarray(ids)
+    if ad.ndim != 2 or ids.shape != ad.shape or vd.ndim != 2:
+        raise T._op_error(ShapeError, f"pkm_read: alphas {ad.shape} and ids {ids.shape} must be one [L, K] "
+                                      f"shape, values [R, d_v] (got {vd.shape})")
+    if ids.size and (ids.min() < 0 or ids.max() >= vd.shape[0]):
+        raise T._op_error(ShapeError, "pkm_read: value row out of range")
+    K = ids.shape[1]
+    m = np.multiply(ad[:, :1], vd[ids[:, 0]])
+    rows = np.empty(m.shape)
+    for k in range(1, K):
+        np.take(vd, ids[:, k], axis=0, out=rows, mode="clip")     # range checked above
+        rows *= ad[:, k:k + 1]
+        m += rows
+
+    def bwd(g):
+        ga = np.empty(ad.shape)
+        for k in range(K):
+            ga[:, k] = (g * vd[ids[:, k]]).sum(axis=-1)
+        gv = np.zeros(vd.shape)
+        np.add.at(gv, ids, g[:, None, :] * ad[:, :, None])
+        return ga, gv
+
+    return T._make_output(m, (alphas, values), bwd, "pkm_read")
+
+
 def _select_topk(flat_scores: Tensor, comp_ids: np.ndarray, k: int, store: PkmStore):
     """Top-k rows of [L, M] scores; ties go to the lower composite id."""
     order = np.lexsort((comp_ids, -flat_scores.data), axis=-1)[..., :k]
     scores = T.take_along_last(flat_scores, order)
     sel_ids = np.take_along_axis(comp_ids, order, axis=-1)
     alphas = T.softmax(scores, axis=-1)
-    v_sel = T.gather_rows(store.values, sel_ids)               # [L, k, d_v]
-    m = T.tsum(T.mul(T.reshape(alphas, alphas.data.shape + (1,)), v_sel), axis=-2)
+    m = pkm_read(alphas, store.values, sel_ids)
     N = store.n_sub_keys
     pairs = np.stack([sel_ids // N, sel_ids % N], axis=-1)
     return PkmRetrieval(indices=pairs, scores=scores, weights=alphas, value=m)
+
+
+#: tape ops one recorded ``pkm_query_batch`` and one ``pkm_blend`` add: the
+#: two query halves; per codebook a transpose, the scores and the shortlist
+#: gather (8); the grid's two reshapes, add and flattening (4); the top-k
+#: gather, softmax and ``pkm_read`` (3); and the blend's transpose, matmul,
+#: scaling and add (4)
+PKM_TAPE_OPS = 19
 
 
 def pkm_query_batch(q: Tensor, store: PkmStore) -> PkmRetrieval:
@@ -134,6 +181,6 @@ def pkm_blend(h: Tensor, m: Tensor, beta, w_val: Tensor) -> Tensor:
     beta is a scalar or [.., 1] tensor in [0, 1]."""
     beta = beta if isinstance(beta, Tensor) else Tensor(np.asarray(beta, dtype=float))
     if np.any(beta.data < 0) or np.any(beta.data > 1):
-        raise UsageError("pkm_blend: beta must lie in [0, 1]")
+        raise T._op_error(UsageError, "pkm_blend: beta must lie in [0, 1]")
     proj = T.matmul(m, T.transpose(w_val))                     # [.., d]
     return T.add(h, T.mul(beta, proj))

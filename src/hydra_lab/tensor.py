@@ -9,6 +9,10 @@ alignment only. Every op checks its output for NaN/Inf, so overflow is
 an error rather than a silent value. A failed op (shape, usage or
 numeric error) and a finished or failed ``backward`` all leave the tape
 empty.
+
+Fused ops elsewhere (``swiglu``, ``ssm_scan``) share this module's numpy
+kernels: ``_stable_sigmoid`` and the SiLU kernel ``_silu``, which under
+``no_grad`` works in fixed-size blocks and keeps no full-size sigmoid.
 """
 
 from __future__ import annotations
@@ -262,12 +266,13 @@ def mul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 # unary elementwise
 
-def _stable_sigmoid(xd: np.ndarray) -> np.ndarray:
+def _stable_sigmoid(xd: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # e = 1 / (1 + exp(-|x|)) lies in [0.5, 1], and exp(-|x|) <= 1 cannot
     # overflow. 0.5 + copysign(e - 0.5, x) then gives e, or 1 - e for
     # x < 0, with no rounding: e - 0.5 and 1 - e are exact there (Sterbenz).
-    # One buffer and no mask; a masked subtract was slower than all the rest.
-    e = np.copysign(xd, -1.0, out=np.empty(xd.shape))
+    # One buffer (``out``, or a new one) and no mask; a masked subtract was
+    # slower than all the rest.
+    e = np.copysign(xd, -1.0, out=np.empty(xd.shape) if out is None else out)
     np.exp(e, out=e)
     e += 1.0
     np.divide(1.0, e, out=e)
@@ -275,6 +280,31 @@ def _stable_sigmoid(xd: np.ndarray) -> np.ndarray:
     np.copysign(e, xd, out=e)
     e += 0.5
     return e
+
+
+#: elements per block of the SiLU kernel when it keeps no sigmoid: its one
+#: sigmoid buffer (256 KiB) stays this size, and stays in cache
+SILU_CHUNK = 1 << 15
+
+
+def _silu(x: np.ndarray, out: np.ndarray, keep: bool = False):
+    """The SiLU kernel: ``out = x * sigmoid(x)``, where ``out`` may be ``x``.
+
+    Returns ``(out, s)``. With ``keep`` the full sigmoid ``s`` is made and
+    returned, for a backward rule; without it the sigmoid is computed
+    ``SILU_CHUNK`` elements at a time into one block-sized buffer and
+    ``s`` is None. Both give the same bits as ``x * _stable_sigmoid(x)``.
+    ``x`` and ``out`` are C-contiguous and of one shape.
+    """
+    if keep:
+        s = _stable_sigmoid(x)
+        return np.multiply(x, s, out=out), s
+    xf, of = x.reshape(-1), out.reshape(-1)
+    buf = np.empty(min(SILU_CHUNK, xf.size))
+    for i in range(0, xf.size, SILU_CHUNK):
+        xc = xf[i:i + SILU_CHUNK]
+        np.multiply(xc, _stable_sigmoid(xc, out=buf[:xc.size]), out=of[i:i + SILU_CHUNK])
+    return out, None
 
 
 def sigmoid(x) -> Tensor:
@@ -289,9 +319,8 @@ def sigmoid(x) -> Tensor:
 
 def silu(x) -> Tensor:
     x = as_tensor(x)
-    xd = x.data
-    s = _stable_sigmoid(xd)
-    out = xd * s
+    xd = np.ascontiguousarray(x.data)
+    out, s = _silu(xd, np.empty(xd.shape), keep=_GRAD_ENABLED and x.requires_grad)
 
     def bwd(g):
         return (g * (s + xd * s * (1.0 - s)),)
@@ -579,18 +608,30 @@ def cross_entropy(logits, targets, mask) -> Tensor:
 
 def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then
-    apply the affine (gain, bias)."""
+    apply the affine (gain, bias), which must broadcast to x's shape.
+
+    The forward makes two full-size arrays: the centred input, which
+    becomes ``xhat`` in place, and its square, which becomes the output.
+    """
     if eps <= 0:
         raise _op_error(UsageError, "layer_norm: eps must be positive")
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     xd = x.data
+    try:
+        fits = np.broadcast_shapes(xd.shape, gain.data.shape, bias.data.shape) == xd.shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise _op_error(ShapeError, f"layer_norm: gain {gain.data.shape} and bias {bias.data.shape} "
+                                    f"do not broadcast to {xd.shape}")
     mu = xd.mean(axis=-1, keepdims=True)
     xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    sq = xc * xc
+    var = sq.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
-    d = xd.shape[-1]
+    xhat = np.multiply(xc, inv, out=xc)
+    out = np.multiply(xhat, gain.data, out=sq)
+    out += bias.data
     gd = gain.data
 
     def bwd(g):

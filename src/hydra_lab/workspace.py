@@ -95,7 +95,7 @@ def workspace_read(h: Tensor, slots: Tensor, beta: Tensor, params: WorkspacePara
     and beta [B, L]. The reads of all chunks run as one batched attention.
     """
     if np.any(beta.data < 0) or np.any(beta.data > 1):
-        raise UsageError("workspace_read: beta must lie in [0, 1]")
+        raise T._op_error(UsageError, "workspace_read: beta must lie in [0, 1]")
     B, L, d = h.data.shape
     C = slots.data.shape[1]
     cs = chunk_size

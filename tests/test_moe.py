@@ -1,5 +1,6 @@
 """Mixture-of-experts: routing, conditional compute, balance loss."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -217,6 +218,24 @@ class TestSwigluOp:
         with no_grad():
             chain = T.matmul(T.mul(T.silu(T.matmul(x, e.w_gate)), T.matmul(x, e.w_in)), e.w_out)
         np.testing.assert_array_equal(plain.data, chain.data)
+
+    def test_no_grad_peak_keeps_no_sigmoid(self):
+        # x [2048, 64] and h = 256: a and b are 4 MiB each. Under no_grad the
+        # SiLU runs in place and b goes before the output is made; the old
+        # forward also held a 4 MiB sigmoid and b beside the output
+        rng = np.random.default_rng(23)
+        e = init_expert_pool(d=64, hidden=256, n_experts=1, chunk_size=4, rng=rng).experts[0]
+        x = Tensor(rng.normal(size=(2048, 64)))
+        hidden = 2048 * 256 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                e(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * hidden, peak / hidden
 
 
 class TestDispatch:

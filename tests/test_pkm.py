@@ -1,22 +1,34 @@
-"""Product-key memory: factorized retrieval vs exhaustive oracle."""
+"""Product-key memory: factorized retrieval vs exhaustive oracle, and the
+fused value read against the chain it replaced."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hydra_lab import pkm
 from hydra_lab import tensor as T
 from hydra_lab.pkm import (
+    PKM_TAPE_OPS,
     PkmStore,
     candidate_counter,
     init_pkm_store,
     pkm_blend,
     pkm_bruteforce,
     pkm_query_batch,
+    pkm_read,
 )
 from hydra_lab.tensor import Tensor, UsageError, backward, no_grad
 
 
 def make_store(N=8, d_k=8, d_v=6, t=4, k_c=4, seed=0, d=6):
     return init_pkm_store(d=d, n_sub_keys=N, d_k=d_k, d_v=d_v, t=t, k_c=k_c, rng=np.random.default_rng(seed))
+
+
+def read_oracle(alphas: Tensor, values: Tensor, ids: np.ndarray) -> Tensor:
+    """The gather -> mul -> tsum chain ``pkm_read`` replaced, kept as its oracle."""
+    v_sel = T.gather_rows(values, ids)                         # [L, K, d_v]
+    return T.tsum(T.mul(T.reshape(alphas, alphas.data.shape + (1,)), v_sel), axis=-2)
 
 
 class TestFactorizedEqualsExhaustive:
@@ -203,3 +215,94 @@ class TestGradients:
 
         rep = T.grad_check(f, q, h=1e-6, tol=1e-4)
         assert rep.passed, rep
+
+
+class TestFusedRead:
+    """``pkm_read`` is one op that gives the gather -> mul -> tsum bits."""
+
+    @staticmethod
+    def _case(L, K, rows, d_v, seed):
+        rng = np.random.default_rng(seed)
+        alphas = T.softmax(Tensor(rng.normal(size=(L, K))), axis=-1)
+        alphas = Tensor(alphas.data, requires_grad=True)
+        values = Tensor(rng.normal(size=(rows, d_v)), requires_grad=True)
+        ids = rng.integers(0, rows, size=(L, K))               # rows repeat across and within queries
+        return alphas, values, ids, rng.normal(size=(L, d_v))
+
+    @staticmethod
+    def _grads(f, alphas, values, ids, w):
+        alphas.zero_grad()
+        values.zero_grad()
+        T.reset_tape()
+        m = f(alphas, values, ids)
+        backward(T.tsum(T.mul(m, w)))
+        return m.data, alphas.grad, values.grad
+
+    @pytest.mark.parametrize("L, K, rows, d_v", [(37, 4, 16, 6), (5, 1, 3, 7), (200, 7, 9, 33)])
+    def test_bit_identical_to_chain(self, L, K, rows, d_v):
+        case = self._case(L, K, rows, d_v, 40)
+        got = self._grads(pkm_read, *case)
+        ref = self._grads(read_oracle, *case)
+        for name, a, b in zip(("m", "alphas", "values"), got, ref):
+            assert np.array_equal(a, b), name
+        alphas, values, ids, _ = case
+        with no_grad():
+            plain = pkm_read(alphas, values, ids)
+        assert not plain.requires_grad
+        np.testing.assert_array_equal(plain.data, got[0])
+
+    def test_query_batch_bit_identical_to_chain(self, monkeypatch):
+        store = make_store(N=6, t=4, k_c=4, seed=41)
+        q = Tensor(np.random.default_rng(42).normal(size=(23, 8)), requires_grad=True)
+        w = np.random.default_rng(43).normal(size=(23, 6))
+
+        def run():
+            q.zero_grad()
+            store.values.zero_grad()
+            T.reset_tape()
+            r = pkm_query_batch(q, store)
+            backward(T.tsum(T.mul(r.value, w)))
+            return r.value.data, q.grad, store.values.grad
+
+        got = run()
+        monkeypatch.setattr(pkm, "pkm_read", read_oracle)
+        ref = run()
+        for name, a, b in zip(("value", "q", "values"), got, ref):
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("which", ["alphas", "values"])
+    def test_grad_check_every_input(self, which):
+        alphas, values, ids, w = self._case(6, 3, 4, 5, 44)
+        if which == "alphas":
+            rep = T.grad_check(lambda t: T.tsum(T.mul(pkm_read(t, values, ids), w)), alphas, h=1e-6, tol=1e-6)
+        else:
+            rep = T.grad_check(lambda t: T.tsum(T.mul(pkm_read(alphas, t, ids), w)), values, h=1e-6, tol=1e-6)
+        assert rep.passed, rep
+
+    def test_no_grad_peak_skips_the_rows_array(self):
+        # L = 2048, K_c = 4, d_v = 256: the [L, K_c, d_v] rows are 16 MiB and
+        # the read 4 MiB; the query now peaks at the read and one row buffer
+        store = make_store(N=16, d_k=16, d_v=256, t=4, k_c=4, seed=45, d=8)
+        q = Tensor(np.random.default_rng(46).normal(size=(2048, 16)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                r = pkm_query_batch(q, store)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        out = r.value.data.nbytes
+        assert peak < 3 * out, peak / out
+
+    def test_tape_ops_of_query_and_blend(self):
+        store = make_store(seed=47)
+        rng = np.random.default_rng(48)
+        q = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+        h = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+        T.reset_tape()
+        r = pkm_query_batch(q, store)
+        pkm_blend(h, r.value, Tensor(np.full((5, 1), 0.5)), store.w_val)
+        assert T.tape_size() == PKM_TAPE_OPS
+        assert sum(op.name == "pkm_read" for op in T._TAPE) == 1
+        T.reset_tape()

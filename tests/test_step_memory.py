@@ -1,4 +1,5 @@
-"""``tools/step_memory.py`` prints one row per phase of a training step."""
+"""``tools/step_memory.py`` prints one row per phase of a training step, or
+one row per stage of an eval forward."""
 
 import os
 import subprocess
@@ -8,16 +9,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_prints_every_phase_on_a_tiny_config():
+def _run(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, str(ROOT / "tools" / "step_memory.py"),
-                          "--vocab", "64", "--batch", "2", "--length", "32"],
+    res = subprocess.run([sys.executable, str(ROOT / "tools" / "step_memory.py"), *args],
                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    rows = [line.split() for line in res.stdout.splitlines() if not line.startswith("#")]
+    return [line.split() for line in res.stdout.splitlines() if not line.startswith("#")]
+
+
+def test_prints_every_phase_on_a_tiny_config():
+    rows = _run("--vocab", "64", "--batch", "2", "--length", "32")
     assert rows[0] == ["phase", "live_mib", "peak_mib"]
     assert [r[0] for r in rows[1:]] == ["forward", "loss", "backward", "adam", "step"]
     for _, live, peak in rows[1:5]:
         assert 0.0 < float(live) <= float(peak)
     assert float(rows[5][1]) == max(float(r[2]) for r in rows[1:5])
+
+
+def test_eval_mode_prints_every_stage_at_a_tiny_length():
+    rows = _run("--eval", "96")
+    assert rows[0] == ["stage", "calls", "peak_mib"]
+    assert [r[0] for r in rows[1:]] == ["layer_norm", "ssm_scan", "moe_apply", "_memory_stage", "forward"]
+    # efficiency_config: 12 blocks, experts in 6, memory once, and the final norm
+    assert [int(r[1]) for r in rows[1:]] == [13, 12, 6, 1, 1]
+    peaks = [float(r[2]) for r in rows[1:]]
+    assert all(p > 0.0 for p in peaks)
+    assert peaks[-1] == max(peaks)

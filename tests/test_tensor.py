@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hydra_lab import moe
+from hydra_lab import moe, pkm, ssm, workspace
 from hydra_lab import tensor as T
 from hydra_lab.tensor import (
     NumericError,
@@ -171,6 +171,36 @@ class TestLayerNorm:
         with pytest.raises(UsageError):
             layer_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]), eps=0.0)
 
+    def test_affine_must_broadcast_to_input(self):
+        with pytest.raises(ShapeError):
+            layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 1, 4))), Tensor(np.zeros(4)))
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5, 33)])
+    def test_bit_identical_to_five_array_forward(self, shape):
+        rng = np.random.default_rng(11)
+        xd, gd, bd = rng.normal(1.0, 3.0, size=shape), rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        mu = xd.mean(axis=-1, keepdims=True)
+        xc = xd - mu
+        var = (xc * xc).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        expected = (xc * inv) * gd + bd
+        out = layer_norm(Tensor(xd), Tensor(gd), Tensor(bd), 1e-5)
+        np.testing.assert_array_equal(out.data, expected)
+
+    def test_no_grad_peak_two_arrays(self):
+        x = Tensor(np.random.default_rng(12).normal(size=(512, 1024)))     # 4 MiB
+        gain, bias = Tensor(np.ones(1024)), Tensor(np.zeros(1024))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                out = layer_norm(x, gain, bias, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the output and one more array; the five-array forward peaked at four
+        assert peak < 2.5 * out.data.nbytes, peak / out.data.nbytes
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -312,6 +342,73 @@ class TestRandomOpGradients:
         assert rep.passed, rep
 
 
+def silu_oracle(x: Tensor) -> Tensor:
+    """``T.silu`` as it was before the SiLU kernel, kept as its oracle."""
+    xd = x.data
+    s = T._stable_sigmoid(xd)
+
+    def bwd(g):
+        return (g * (s + xd * s * (1.0 - s)),)
+
+    return T._make_output(xd * s, (x,), bwd, "silu_oracle")
+
+
+class TestSiluKernel:
+    """One SiLU kernel: blockwise without a full-size sigmoid under
+    ``no_grad``, and the old op's bits either way."""
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, T.SILU_CHUNK // 3 + 7), (2 * T.SILU_CHUNK + 1,)])
+    def test_bit_identical_to_old_silu(self, shape):
+        rng = np.random.default_rng(50)
+        x = Tensor(rng.normal(0.0, 8.0, size=shape), requires_grad=True)
+        w = rng.normal(size=shape)
+        outs, grads = [], []
+        for f in (T.silu, silu_oracle):
+            x.zero_grad()
+            T.reset_tape()
+            y = f(x)
+            backward(T.tsum(T.mul(y, w)))
+            outs.append(y.data)
+            grads.append(x.grad)
+            with no_grad():
+                outs.append(f(x).data)
+        for o in outs[1:]:
+            np.testing.assert_array_equal(outs[0], o)
+        np.testing.assert_array_equal(grads[0], grads[1])
+
+    def test_in_place_and_kept_sigmoid(self):
+        x = np.random.default_rng(51).normal(size=(7, 9))
+        ref = x * T._stable_sigmoid(x)
+        out, s = T._silu(x.copy(), np.empty(x.shape), keep=True)
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(s, T._stable_sigmoid(x))
+        buf = x.copy()
+        out, s = T._silu(buf, buf)
+        assert out is buf and s is None
+        np.testing.assert_array_equal(buf, ref)
+
+    def test_grad_check_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(T, "SILU_CHUNK", 3)
+        x = randt(np.random.default_rng(52), 2, 5)
+        with no_grad():
+            np.testing.assert_array_equal(T.silu(x).data, silu_oracle(x).data)
+        rep = grad_check(lambda t: T.tsum(T.silu(t) * t), x, h=1e-5, tol=1e-6)
+        assert rep.passed, rep
+
+    def test_no_grad_peak_keeps_no_sigmoid(self):
+        x = Tensor(np.random.default_rng(53).normal(size=(512, 1024)))     # 4 MiB
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                out = T.silu(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the output and one block's sigmoid; the old op added a 4 MiB sigmoid
+        assert peak < out.data.nbytes + 4 * 8 * T.SILU_CHUNK, peak / out.data.nbytes
+
+
 def sigmoid_oracle(xd):
     """The clipped formula ``_stable_sigmoid`` replaced, kept as its oracle."""
     out = np.exp(-np.clip(np.abs(xd), 0.0, 709.0))
@@ -417,7 +514,8 @@ class TestTapeAfterFailure:
     @pytest.mark.parametrize("fail", ["add_shape", "matmul_shape", "reshape_shape", "concat_shape",
                                       "layer_norm_usage", "transpose_axis", "getitem_index",
                                       "take_along_last_index", "scatter_rows_index", "load_balance_usage",
-                                      "cross_entropy_index", "cross_entropy_usage"])
+                                      "cross_entropy_index", "cross_entropy_usage", "pkm_blend_usage",
+                                      "workspace_read_usage", "pkm_read_index", "ssm_scan_shape"])
     def test_shape_or_usage_error_clears_tape(self, fail):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         T.reset_tape()
@@ -447,6 +545,16 @@ class TestTapeAfterFailure:
                 T.cross_entropy(h, np.array([0, 3]), np.ones(2))
             elif fail == "cross_entropy_usage":
                 T.cross_entropy(h, np.array([0, 2]), np.zeros(2))
+            elif fail == "pkm_blend_usage":
+                pkm.pkm_blend(h, h, 1.5, Tensor(np.eye(3)))
+            elif fail == "workspace_read_usage":
+                ws = workspace.init_workspace_params(3, 2, 2, 2, np.random.default_rng(0))
+                workspace.workspace_read(T.reshape(h, (1, 2, 3)), Tensor(np.zeros((1, 1, 2, 3))),
+                                         Tensor(np.full((1, 2), -0.5)), ws, 2)
+            elif fail == "pkm_read_index":
+                pkm.pkm_read(h[:, :2], Tensor(np.ones((4, 3))), np.array([[0, 4], [1, 2]]))
+            elif fail == "ssm_scan_shape":
+                ssm.ssm_scan(h, ssm.init_ssm_params(4, np.random.default_rng(0)))
             else:
                 moe.load_balance_loss(Tensor(np.ones((0, 4))), np.full(4, 0.25))
         assert T.tape_size() == 0

@@ -1,6 +1,8 @@
-"""Live and peak memory of one training step, phase by phase.
+"""Live and peak memory of one training step, phase by phase, or of one
+eval forward, stage by stage.
 
 Run:  PYTHONPATH=src python tools/step_memory.py [--vocab 4096] [--batch 4] [--length 256]
+      PYTHONPATH=src python tools/step_memory.py --eval 16384
 
 The defaults are the shape of the benchmark's ``train-256`` workload:
 ``wikitext_config(vocab, 0)``, fresh ``build_hydra`` weights, and one step
@@ -10,6 +12,14 @@ state. An untimed warm-up step runs first. For each phase the script
 prints the bytes live at its end and the peak during it, both in MiB above
 what was live before the step, from ``tracemalloc`` (numpy reports its
 buffers to it).
+
+With ``--eval L`` it instead runs one ``no_grad`` forward with hard gates
+of ``efficiency_config(0)`` on [1, L] random tokens (the shape of the
+benchmark's ``eval-16k`` workload at L = 16384), after an untimed warm-up
+forward. For each stage (``T.layer_norm``, ``model.ssm_scan``,
+``model.moe_apply`` and ``model._memory_stage``) it prints the number of
+calls and the highest peak during any one call, in MiB above what was live
+before the forward; the last row is the peak of the whole forward.
 """
 
 from __future__ import annotations
@@ -20,10 +30,13 @@ import tracemalloc
 
 import numpy as np
 
+from hydra_lab import model, training
 from hydra_lab import tensor as T
-from hydra_lab import training
-from hydra_lab.experiments import wikitext_config
+from hydra_lab.experiments import efficiency_config, wikitext_config
 from hydra_lab.model import build_hydra, hydra_forward
+
+#: the stages of an eval forward: (owner, attribute), called through it
+STAGES = ((T, "layer_norm"), (model, "ssm_scan"), (model, "moe_apply"), (model, "_memory_stage"))
 
 
 def _step(config, params, toks):
@@ -64,12 +77,63 @@ def step_memory(vocab: int, batch: int, length: int) -> list[tuple[str, float, f
     return rows
 
 
+def forward_memory(length: int) -> list[tuple[str, int, float]]:
+    """(stage, calls, peak MiB) of one eval forward, above the pre-forward
+    baseline; the last row, ``forward``, is the whole forward's peak."""
+    config = efficiency_config(0)
+    params = build_hydra(config)
+    toks = np.random.default_rng(0).integers(0, config.vocab, size=(1, length))
+    with T.no_grad():
+        model.hydra_forward(toks, config, params)              # warm-up
+    gc.collect()
+    calls = {attr: 0 for _, attr in STAGES}
+    peaks = dict.fromkeys(calls, 0)
+    top = [0]                   # highest peak seen before the latest reset
+
+    def staged(attr, fn):
+        def call(*args, **kwargs):
+            top[0] = max(top[0], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                calls[attr] += 1
+                peaks[attr] = max(peaks[attr], tracemalloc.get_traced_memory()[1])
+        return call
+
+    saved = [(owner, attr, getattr(owner, attr)) for owner, attr in STAGES]
+    tracemalloc.start()
+    try:
+        for owner, attr, fn in saved:
+            setattr(owner, attr, staged(attr, fn))
+        base = tracemalloc.get_traced_memory()[0]
+        with T.no_grad():
+            logits = model.hydra_forward(toks, config, params)
+        top[0] = max(top[0], tracemalloc.get_traced_memory()[1])
+        del logits
+    finally:
+        tracemalloc.stop()
+        for owner, attr, fn in saved:
+            setattr(owner, attr, fn)
+    rows = [(attr, calls[attr], (peaks[attr] - base) / 2**20) for attr in calls]
+    return rows + [("forward", 1, (top[0] - base) / 2**20)]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--vocab", type=int, default=4096)
     ap.add_argument("--batch", type=int, default=4)
     ap.add_argument("--length", type=int, default=256)
+    ap.add_argument("--eval", type=int, default=None, metavar="L",
+                    help="report one eval forward of efficiency_config at [1, L] instead")
     args = ap.parse_args(argv)
+    if args.eval is not None:
+        print(f"# one no_grad forward, efficiency_config(0), hard gates, B=1, L={args.eval}; "
+              "peak MiB above the pre-forward baseline (tracemalloc)")
+        print(f"{'stage':<14} {'calls':>6} {'peak_mib':>10}")
+        for stage, n, peak in forward_memory(args.eval):
+            print(f"{stage:<14} {n:>6} {peak:>10.1f}")
+        return
     rows = step_memory(args.vocab, args.batch, args.length)
     print(f"# one training step, wikitext_config(vocab={args.vocab}), B={args.batch}, L={args.length}; "
           "MiB above the pre-step baseline (tracemalloc)")
