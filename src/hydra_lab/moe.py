@@ -10,7 +10,9 @@ keeps its hidden activations for that backward only when the op is
 recorded, so under ``no_grad`` it holds nothing. The expert outputs of a
 layer are summed back into token order by one ``scatter_rows`` op, which
 relies on an expert's rows being distinct: the top-2 choice never picks
-the same expert twice for a chunk.
+the same expert twice for a chunk. Under ``no_grad`` the experts run over
+row blocks that the scatter adds into the sum as each is made, so the
+layer holds its output and one block, not every expert's output.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ class ExpertFfn:
     over x [..., d] and the three weights. Only a recorded call keeps its
     [rows, h] activations: a * sigmoid(a), sigmoid(a), x Wi and the hidden
     product, where a = x Wg. Under ``no_grad`` the SiLU runs in place on
-    ``a`` through ``T._silu``, with no [rows, h] sigmoid buffer.
+    ``a`` through ``T._silu``, with no [rows, h] sigmoid buffer, and
+    ``moe_apply`` calls the expert once per block of at most
+    ``T.ROW_BLOCK`` rows, so a call's two [rows, h] arrays stay that size.
     """
     w_gate: Tensor  # [d, h]
     w_in: Tensor    # [d, h]
@@ -123,21 +127,33 @@ def top2_pairs(logits: Tensor):
     return full, ids, weights
 
 
-def scatter_rows(parts: list[tuple[Tensor, np.ndarray]], n_rows: int) -> Tensor:
+def scatter_rows(parts, n_rows: int) -> Tensor:
     """Sum of the (values [n, d], rows [n]) parts, each written at its rows
-    of one zero [n_rows, d] buffer, in list order. A part's rows must be
-    distinct; rows shared between parts add up."""
-    values = tuple(v for v, _ in parts)
-    out = np.zeros((n_rows,) + values[0].data.shape[1:])
+    of one zero [n_rows, d] buffer, in order. A part's rows must be
+    distinct; rows shared between parts add up.
+
+    ``parts`` is any iterable of pairs, such as a generator that makes each
+    part on demand. Only a recorded call keeps the parts, as its inputs;
+    otherwise each is dropped once added, so the sum and the part at hand
+    are all that is live.
+    """
+    out, kept = None, []
     for v, rows in parts:
         if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
             raise T._op_error(ShapeError, "scatter_rows: row index out of range")
+        if out is None:
+            out = np.zeros((n_rows,) + v.data.shape[1:])
         out[rows] += v.data
+        if T._GRAD_ENABLED:
+            kept.append((v, rows))
+        del v               # not held while the next part is made
+    if out is None:
+        raise T._op_error(UsageError, "scatter_rows: no parts to sum")
 
     def bwd(g):
-        return tuple(g[rows] for _, rows in parts)
+        return tuple(g[rows] for _, rows in kept)
 
-    return T._make_output(out, values, bwd, "scatter_rows")
+    return T._make_output(out, tuple(v for v, _ in kept), bwd, "scatter_rows")
 
 
 def moe_tape_ops(n_experts: int) -> int:
@@ -150,7 +166,18 @@ def moe_tape_ops(n_experts: int) -> int:
 
 def moe_apply(u: Tensor, pool: ExpertPool, expert_ids: np.ndarray,
               expert_weights: Tensor) -> Tensor:
-    """Vectorized chunk-routed expert application on [B, L, d]."""
+    """Vectorized chunk-routed expert application on [B, L, d].
+
+    The weighted rows of each expert go to ``scatter_rows`` in expert
+    order. A recorded call runs each expert once, over all its rows, and
+    hands the scatter the list of parts. Under ``no_grad`` each expert runs
+    over the same number of near-equal row blocks, enough that none has
+    more than ``T.ROW_BLOCK`` rows (an expert has at most B * L), made one
+    at a time as the scatter adds them into the sum. So no [rows, d] or
+    [rows, h] array larger than a block is live, and the number of ops does
+    not depend on the routing. Either way each row receives the same sums
+    in the same order.
+    """
     B, L, d = u.data.shape
     cs = pool.chunk_size
     k = expert_ids.shape[-1]
@@ -158,25 +185,36 @@ def moe_apply(u: Tensor, pool: ExpertPool, expert_ids: np.ndarray,
     C = -(-L // cs)
     w_flat = T.reshape(expert_weights, (B * C * k,))
     ids_flat = expert_ids.reshape(B * C, k)
+    recorded = T._GRAD_ENABLED
+    # near-equal blocks, not full ones and a remainder: a sliver of a few
+    # rows may go through another BLAS kernel (one row through gemv) and
+    # round differently from the whole
+    n_blocks = 1 if recorded else -(-B * L // T.ROW_BLOCK)
 
     # first row and length of each (batch, chunk)
     offsets = np.arange(0, L, cs)
     starts = (np.arange(B)[:, None] * L + offsets).reshape(-1)
     lengths = np.tile(np.minimum(cs, L - offsets), B)
 
-    parts = []
-    for e in range(pool.n_experts):
-        sel_chunks, sel_slots = np.nonzero(ids_flat == e)
-        if sel_chunks.size == 0:
-            continue
-        n = lengths[sel_chunks]
-        # rows of the selected chunks back to back: each chunk's start,
-        # shifted by the rows placed before it, plus a running count
-        rows = np.repeat(starts[sel_chunks] - (np.cumsum(n) - n), n) + np.arange(n.sum())
-        wpos = np.repeat(sel_chunks * k + sel_slots, n)
-        tok_w = T.reshape(T.gather_rows(w_flat, wpos), (rows.size, 1))
-        parts.append((T.mul(pool.experts[e](T.gather_rows(x2, rows)), tok_w), rows))
-    return T.reshape(scatter_rows(parts, B * L), (B, L, d))
+    def parts():
+        for e in range(pool.n_experts):
+            sel_chunks, sel_slots = np.nonzero(ids_flat == e)
+            if sel_chunks.size == 0:
+                continue
+            n = lengths[sel_chunks]
+            # rows of the selected chunks back to back: each chunk's start,
+            # shifted by the rows placed before it, plus a running count
+            rows = np.repeat(starts[sel_chunks] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+            wpos = np.repeat(sel_chunks * k + sel_slots, n)
+            edges = np.arange(n_blocks + 1) * rows.size // n_blocks
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                r = rows[lo:hi]
+                tok_w = T.reshape(T.gather_rows(w_flat, wpos[lo:hi]), (r.size, 1))
+                yield T.mul(pool.experts[e](T.gather_rows(x2, r)), tok_w), r
+
+    # a recorded call makes its parts before the scatter, which keeps the
+    # scatter's own time apart; the tape keeps every part anyway
+    return T.reshape(scatter_rows(list(parts()) if recorded else parts(), B * L), (B, L, d))
 
 
 def dispatch_fractions(expert_ids: np.ndarray, n_experts: int) -> np.ndarray:

@@ -88,8 +88,9 @@ def pkm_read(alphas: Tensor, values: Tensor, ids: np.ndarray) -> Tensor:
     """m[l] = sum over k of alphas[l, k] * values[ids[l, k]], as one op:
     alphas and ids [L, K], values [R, d_v] -> m [L, d_v].
 
-    The forward adds one k at a time, in k order, into m, with one [L, d_v]
-    buffer for the gathered rows. The backward keeps nothing of its own.
+    The forward gathers the k = 0 rows straight into m, then adds one k at
+    a time, in k order, with one buffer of at most ``T.ROW_BLOCK`` gathered
+    rows. The backward keeps nothing of its own.
     The float operations and their order are those of ``gather_rows``,
     ``mul`` and ``tsum`` over the [L, K, d_v] rows, so the value and both
     gradients equal that chain's bit for bit.
@@ -101,13 +102,17 @@ def pkm_read(alphas: Tensor, values: Tensor, ids: np.ndarray) -> Tensor:
                                       f"shape, values [R, d_v] (got {vd.shape})")
     if ids.size and (ids.min() < 0 or ids.max() >= vd.shape[0]):
         raise T._op_error(ShapeError, "pkm_read: value row out of range")
-    K = ids.shape[1]
-    m = np.multiply(ad[:, :1], vd[ids[:, 0]])
-    rows = np.empty(m.shape)
-    for k in range(1, K):
-        np.take(vd, ids[:, k], axis=0, out=rows, mode="clip")     # range checked above
-        rows *= ad[:, k:k + 1]
-        m += rows
+    L, K = ids.shape
+    m = np.take(vd, ids[:, 0], axis=0)
+    m *= ad[:, :1]
+    buf = np.empty((min(T.ROW_BLOCK, L), vd.shape[1]))
+    for lo in range(0, L, T.ROW_BLOCK):
+        hi = min(lo + T.ROW_BLOCK, L)
+        rows = buf[:hi - lo]
+        for k in range(1, K):
+            np.take(vd, ids[lo:hi, k], axis=0, out=rows, mode="clip")     # range checked above
+            rows *= ad[lo:hi, k:k + 1]
+            m[lo:hi] += rows
 
     def bwd(g):
         ga = np.empty(ad.shape)
@@ -135,9 +140,9 @@ def _select_topk(flat_scores: Tensor, comp_ids: np.ndarray, k: int, store: PkmSt
 #: tape ops one recorded ``pkm_query_batch`` and one ``pkm_blend`` add: the
 #: two query halves; per codebook a transpose, the scores and the shortlist
 #: gather (8); the grid's two reshapes, add and flattening (4); the top-k
-#: gather, softmax and ``pkm_read`` (3); and the blend's transpose, matmul,
-#: scaling and add (4)
-PKM_TAPE_OPS = 19
+#: gather, softmax and ``pkm_read`` (3); and the blend's transpose, matmul
+#: and ``gated_add`` (3)
+PKM_TAPE_OPS = 18
 
 
 def pkm_query_batch(q: Tensor, store: PkmStore) -> PkmRetrieval:
@@ -164,7 +169,7 @@ def pkm_bruteforce(q: Tensor, store: PkmStore) -> PkmRetrieval:
     (ground-truth oracle)."""
     N = store.n_sub_keys
     if N * N > 10**6:
-        raise UsageError("pkm_bruteforce: N^2 exceeds the 10^6 guard")
+        raise T._op_error(UsageError, "pkm_bruteforce: N^2 exceeds the 10^6 guard")
     L, d_k = q.data.shape
     half = d_k // 2
     s1 = T.matmul(q[:, :half], T.transpose(store.codebook1))
@@ -178,9 +183,10 @@ def pkm_bruteforce(q: Tensor, store: PkmStore) -> PkmRetrieval:
 
 def pkm_blend(h: Tensor, m: Tensor, beta, w_val: Tensor) -> Tensor:
     """h <- h + beta * (m W_val^T) for h [.., d] and retrieved values m [.., d_v];
-    beta is a scalar or [.., 1] tensor in [0, 1]."""
+    beta is a scalar or [.., 1] tensor in [0, 1]. Under ``no_grad`` the
+    result is written into the projection's buffer."""
     beta = beta if isinstance(beta, Tensor) else Tensor(np.asarray(beta, dtype=float))
     if np.any(beta.data < 0) or np.any(beta.data > 1):
         raise T._op_error(UsageError, "pkm_blend: beta must lie in [0, 1]")
     proj = T.matmul(m, T.transpose(w_val))                     # [.., d]
-    return T.add(h, T.mul(beta, proj))
+    return T.gated_add(h, beta, proj, overwrite_p=True)

@@ -246,15 +246,25 @@ class TestDispatch:
         pool = init_expert_pool(d=4, hidden=4, n_experts=4, chunk_size=3, rng=rng)
         x = Tensor(rng.normal(size=(3, 11, 4)))                    # ragged last chunk
         _, ids, weights = route_all(x, pool, Tensor(rng.normal(size=(4, 4))))
-        seen = []
+        monkeypatch.setattr(T, "ROW_BLOCK", 8)                    # several blocks per expert
+        called = []
+        pool.experts = [lambda t, e=e, f=f: called.append(e) or f(t) for e, f in enumerate(pool.experts)]
+        blocks = {}
         scatter = moe.scatter_rows
-        monkeypatch.setattr(moe, "scatter_rows", lambda parts, n: seen.append(parts) or scatter(parts, n))
+
+        def tap(parts):         # each part, filed under the expert that made it
+            for v, rows in parts:
+                blocks.setdefault(called[-1], []).append(rows)
+                yield v, rows
+
+        monkeypatch.setattr(moe, "scatter_rows", lambda parts, n: scatter(tap(parts), n))
         with no_grad():
             moe_apply(x, pool, ids, weights)
-        (parts,) = seen
-        for _, rows in parts:
+        assert max(len(b) for b in blocks.values()) > 1
+        for b in blocks.values():
+            rows = np.concatenate(b)
             assert np.unique(rows).size == rows.size
-        counts = np.bincount(np.concatenate([rows for _, rows in parts]), minlength=3 * 11)
+        counts = np.bincount(np.concatenate([np.concatenate(b) for b in blocks.values()]), minlength=3 * 11)
         np.testing.assert_array_equal(counts, ids.shape[-1])
 
     @pytest.mark.parametrize("E", [2, 4])
@@ -269,6 +279,65 @@ class TestDispatch:
         moe_apply(x, pool, ids, w)
         assert T.tape_size() == moe_tape_ops(E)
         T.reset_tape()
+
+
+class TestStreamedExperts:
+    """Under ``no_grad`` the experts run in row blocks that ``scatter_rows``
+    adds into the sum as they are made; the output keeps the recorded bits."""
+
+    @staticmethod
+    def _case(L, seed):
+        # B = 2, chunk 4, E = 4 with expert 2 idle: top-2 pairs drawn from {0, 1, 3}
+        rng = np.random.default_rng(seed)
+        pool = init_expert_pool(d=8, hidden=16, n_experts=4, chunk_size=4, rng=rng)
+        C = -(-L // 4)
+        pairs = np.array([[0, 1], [0, 3], [1, 3]])
+        ids = pairs[rng.integers(0, 3, size=(2, C))]
+        w = Tensor(rng.dirichlet([1.0, 1.0], size=(2, C)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, L, 8)), requires_grad=True)
+        return pool, x, ids, w
+
+    @pytest.mark.parametrize("L, block", [(37, 16), (4099, None)])
+    def test_no_grad_equals_recorded(self, monkeypatch, L, block):
+        pool, x, ids, w = self._case(L, seed=24)
+        if block is not None:
+            monkeypatch.setattr(T, "ROW_BLOCK", block)
+        rows = []
+        pool.experts = [_counting(e, rows) for e in pool.experts]
+        T.reset_tape()
+        recorded = moe_apply(x, pool, ids, w)
+        T.reset_tape()
+        assert len(rows) == 3                                      # one call per busy expert
+        with no_grad():
+            plain = moe_apply(x, pool, ids, w)
+        # every busy expert runs over the same number of near-equal blocks
+        n_blocks = -(-2 * L // T.ROW_BLOCK)
+        assert n_blocks > 1 and len(rows) == 3 + 3 * n_blocks
+        for e in range(3):
+            blocks = rows[3 + e * n_blocks:3 + (e + 1) * n_blocks]
+            assert sum(blocks) == rows[e] and max(blocks) - min(blocks) <= 1 and max(blocks) <= T.ROW_BLOCK
+        assert recorded.requires_grad and not plain.requires_grad
+        np.testing.assert_array_equal(plain.data, recorded.data)
+
+    def test_no_grad_peak(self):
+        # L = 16384, d = 32, h = 64: the output is 4 MiB, and every expert
+        # runs over about 8192 rows. The layer now holds its output and one
+        # block's arrays; it used to hold every weighted expert output
+        # (2 outputs) until the scatter, beside the last expert's arrays
+        rng = np.random.default_rng(25)
+        pool = init_expert_pool(d=32, hidden=64, n_experts=4, chunk_size=64, rng=rng)
+        x = Tensor(rng.normal(size=(1, 16384, 32)))
+        _, ids, w = route_all(x, pool, Tensor(rng.normal(size=(4, 32))))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                out = moe_apply(x, pool, ids, w)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        n = out.data.nbytes
+        assert peak < 2 * n, peak / n
 
 
 def _counting(expert, rows):

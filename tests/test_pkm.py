@@ -295,6 +295,51 @@ class TestFusedRead:
         out = r.value.data.nbytes
         assert peak < 3 * out, peak / out
 
+    def test_row_blocks_bit_identical_to_chain(self, monkeypatch):
+        monkeypatch.setattr(T, "ROW_BLOCK", 8)                 # 37 rows: four full blocks and a ragged one
+        case = self._case(37, 4, 16, 6, 44)
+        got = self._grads(pkm_read, *case)
+        ref = self._grads(read_oracle, *case)
+        for name, a, b in zip(("m", "alphas", "values"), got, ref):
+            assert np.array_equal(a, b), name
+        with no_grad():
+            np.testing.assert_array_equal(pkm_read(*case[:3]).data, got[0])
+
+    def test_no_grad_read_peak_one_output_and_a_block(self):
+        # L = 16384, K = 4, d_v = 64: the read is 8 MiB and a block of
+        # T.ROW_BLOCK gathered rows 1 MiB. The read used to gather its k = 0
+        # rows into a temporary and keep an [L, d_v] row buffer beside m
+        alphas, values, ids, _ = self._case(16384, 4, 256, 64, 49)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                m = pkm_read(alphas, values, ids)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m.data.nbytes, peak / m.data.nbytes
+
+    def test_no_grad_blend_writes_into_its_projection(self):
+        # h and m [4096, 128], 4 MiB each: the blend allocates its projection
+        # and nothing more; it used to add a product and a sum beside it
+        rng = np.random.default_rng(50)
+        h = Tensor(rng.normal(size=(4096, 128)))
+        m = Tensor(rng.normal(size=(4096, 128)))
+        beta = Tensor(rng.uniform(size=(4096, 1)))
+        w_val = Tensor(rng.normal(size=(128, 128)))
+        want = T.add(h, T.mul(beta, T.matmul(m, T.transpose(w_val)))).data
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with no_grad():
+                out = pkm_blend(h, m, beta, w_val)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out.data, want)
+        assert peak < 1.5 * out.data.nbytes, peak / out.data.nbytes
+
     def test_tape_ops_of_query_and_blend(self):
         store = make_store(seed=47)
         rng = np.random.default_rng(48)

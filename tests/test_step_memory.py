@@ -30,9 +30,14 @@ def test_prints_every_phase_on_a_tiny_config():
 def test_eval_mode_prints_every_stage_at_a_tiny_length():
     rows = _run("--eval", "96")
     assert rows[0] == ["stage", "calls", "peak_mib"]
-    assert [r[0] for r in rows[1:]] == ["layer_norm", "ssm_scan", "moe_apply", "_memory_stage", "forward"]
+    stages = ["layer_norm", "ssm_scan", "moe_apply", "tri_path_block", "_memory_stage", "workspace_read",
+              "pkm_query_batch", "pkm_blend", "forward"]
+    assert [r[0] for r in rows[1:]] == stages
     # efficiency_config: 12 blocks, experts in 6, memory once, and the final norm
-    assert [int(r[1]) for r in rows[1:]] == [13, 12, 6, 1, 1]
-    peaks = [float(r[2]) for r in rows[1:]]
-    assert all(p > 0.0 for p in peaks)
-    assert peaks[-1] == max(peaks)
+    assert [int(r[1]) for r in rows[1:]] == [13, 12, 6, 12, 1, 1, 1, 1, 1]
+    peak = {r[0]: float(r[2]) for r in rows[1:]}
+    assert all(p > 0.0 for p in peak.values())
+    assert peak["forward"] == max(peak.values())
+    # a stage's peak includes the stages it calls
+    assert peak["tri_path_block"] >= max(peak["ssm_scan"], peak["moe_apply"])
+    assert peak["_memory_stage"] >= max(peak["workspace_read"], peak["pkm_query_batch"], peak["pkm_blend"])

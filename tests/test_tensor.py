@@ -409,6 +409,69 @@ class TestSiluKernel:
         assert peak < out.data.nbytes + 4 * 8 * T.SILU_CHUNK, peak / out.data.nbytes
 
 
+class TestGatedAdd:
+    """``gated_add(x, g, p)`` is ``add(x, mul(g, p))`` as one op."""
+
+    @pytest.fixture(params=["scalar", "per_token"])
+    def operands(self, request):
+        rng = np.random.default_rng(54)
+        gshape = () if request.param == "scalar" else (2, 7, 1)
+        return (randt(rng, 2, 7, 5), randt(rng, *gshape, lo=0.0, hi=1.0), randt(rng, 2, 7, 5),
+                rng.normal(size=(2, 7, 5)))
+
+    def test_bit_identical_to_add_mul_chain(self, operands):
+        x, g, p, w = operands
+        outs, grads = [], []
+        for f in (T.gated_add, lambda a, b, c: T.add(a, T.mul(b, c))):
+            for t in (x, g, p):
+                t.zero_grad()
+            T.reset_tape()
+            y = f(x, g, p)
+            backward(T.tsum(T.mul(y, w)))
+            outs.append(y.data)
+            grads.append([t.grad for t in (x, g, p)])
+            with no_grad():
+                outs.append(f(x, g, p).data)
+        for o in outs[1:]:
+            np.testing.assert_array_equal(outs[0], o)
+        for a, b in zip(*grads):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_grad_check(self, operands, which):
+        x, g, p, w = operands
+        ops = [x, g, p]
+
+        def f(t):
+            args = ops[:which] + [t] + ops[which + 1:]
+            return T.tsum(T.mul(T.gated_add(*args), w))
+
+        rep = grad_check(f, ops[which], h=1e-6, tol=1e-6)
+        assert rep.passed, rep
+
+    def test_one_tape_op_keeps_no_product(self, operands):
+        x, g, p, _ = operands
+        T.reset_tape()
+        y = T.gated_add(x, g, p, overwrite_p=True)
+        assert T.tape_size() == 1 and T._TAPE[0].name == "gated_add"
+        assert not np.shares_memory(y.data, p.data)          # recorded: p is kept for the backward
+        T.reset_tape()
+
+    def test_overwrite_p_writes_into_p_when_not_recorded(self, operands):
+        x, g, p, _ = operands
+        want = T.add(x, T.mul(g, p)).data
+        T.reset_tape()
+        buf = p.data.copy()
+        with no_grad():
+            y = T.gated_add(x, g, Tensor(buf), overwrite_p=True)
+            np.testing.assert_array_equal(y.data, want)
+            assert np.shares_memory(y.data, buf)
+            z = T.gated_add(x, g, x, overwrite_p=True)       # p is x: a new array
+        assert not np.shares_memory(z.data, x.data)
+        np.testing.assert_array_equal(z.data, T.add(x, T.mul(g, x)).data)
+        T.reset_tape()
+
+
 def sigmoid_oracle(xd):
     """The clipped formula ``_stable_sigmoid`` replaced, kept as its oracle."""
     out = np.exp(-np.clip(np.abs(xd), 0.0, 709.0))
@@ -515,7 +578,8 @@ class TestTapeAfterFailure:
                                       "layer_norm_usage", "transpose_axis", "getitem_index",
                                       "take_along_last_index", "scatter_rows_index", "load_balance_usage",
                                       "cross_entropy_index", "cross_entropy_usage", "pkm_blend_usage",
-                                      "workspace_read_usage", "pkm_read_index", "ssm_scan_shape"])
+                                      "workspace_read_usage", "pkm_read_index", "ssm_scan_shape",
+                                      "pkm_bruteforce_usage", "gated_add_shape"])
     def test_shape_or_usage_error_clears_tape(self, fail):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         T.reset_tape()
@@ -555,6 +619,14 @@ class TestTapeAfterFailure:
                 pkm.pkm_read(h[:, :2], Tensor(np.ones((4, 3))), np.array([[0, 4], [1, 2]]))
             elif fail == "ssm_scan_shape":
                 ssm.ssm_scan(h, ssm.init_ssm_params(4, np.random.default_rng(0)))
+            elif fail == "pkm_bruteforce_usage":
+                N = 1001                                # N^2 over the 10^6 guard
+                store = pkm.PkmStore(codebook1=Tensor(np.zeros((N, 1))), codebook2=Tensor(np.zeros((N, 1))),
+                                     values=Tensor(np.zeros((N * N, 1))), t_candidates=1, k_composites=1,
+                                     w_query=Tensor(np.zeros((2, 3))), w_val=Tensor(np.zeros((3, 1))))
+                pkm.pkm_bruteforce(h[:, :2], store)
+            elif fail == "gated_add_shape":
+                T.gated_add(h, 2.0, np.ones((4, 3)))
             else:
                 moe.load_balance_loss(Tensor(np.ones((0, 4))), np.full(4, 0.25))
         assert T.tape_size() == 0

@@ -17,9 +17,12 @@ With ``--eval L`` it instead runs one ``no_grad`` forward with hard gates
 of ``efficiency_config(0)`` on [1, L] random tokens (the shape of the
 benchmark's ``eval-16k`` workload at L = 16384), after an untimed warm-up
 forward. For each stage (``T.layer_norm``, ``model.ssm_scan``,
-``model.moe_apply`` and ``model._memory_stage``) it prints the number of
-calls and the highest peak during any one call, in MiB above what was live
-before the forward; the last row is the peak of the whole forward.
+``model.moe_apply``, ``model.tri_path_block``, ``model._memory_stage`` and,
+inside it, ``model.workspace_read``, ``model.pkm_query_batch`` and
+``model.pkm_blend``) it prints the number of calls and the highest peak
+during any one call, in MiB above what was live before the forward; the
+last row is the peak of the whole forward. A stage's peak includes the
+stages it calls.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from hydra_lab.experiments import efficiency_config, wikitext_config
 from hydra_lab.model import build_hydra, hydra_forward
 
 #: the stages of an eval forward: (owner, attribute), called through it
-STAGES = ((T, "layer_norm"), (model, "ssm_scan"), (model, "moe_apply"), (model, "_memory_stage"))
+STAGES = ((T, "layer_norm"), (model, "ssm_scan"), (model, "moe_apply"), (model, "tri_path_block"),
+          (model, "_memory_stage"), (model, "workspace_read"), (model, "pkm_query_batch"),
+          (model, "pkm_blend"))
 
 
 def _step(config, params, toks):
@@ -89,16 +94,27 @@ def forward_memory(length: int) -> list[tuple[str, int, float]]:
     calls = {attr: 0 for _, attr in STAGES}
     peaks = dict.fromkeys(calls, 0)
     top = [0]                   # highest peak seen before the latest reset
+    open_stages = []            # the stages running now, outermost first
+
+    def fold():
+        """Credit the peak since the latest reset to the forward and to
+        every running stage."""
+        peak = tracemalloc.get_traced_memory()[1]
+        top[0] = max(top[0], peak)
+        for attr in open_stages:
+            peaks[attr] = max(peaks[attr], peak)
 
     def staged(attr, fn):
         def call(*args, **kwargs):
-            top[0] = max(top[0], tracemalloc.get_traced_memory()[1])
+            fold()
             tracemalloc.reset_peak()
+            open_stages.append(attr)
             try:
                 return fn(*args, **kwargs)
             finally:
+                fold()
+                open_stages.pop()
                 calls[attr] += 1
-                peaks[attr] = max(peaks[attr], tracemalloc.get_traced_memory()[1])
         return call
 
     saved = [(owner, attr, getattr(owner, attr)) for owner, attr in STAGES]
@@ -109,7 +125,7 @@ def forward_memory(length: int) -> list[tuple[str, int, float]]:
         base = tracemalloc.get_traced_memory()[0]
         with T.no_grad():
             logits = model.hydra_forward(toks, config, params)
-        top[0] = max(top[0], tracemalloc.get_traced_memory()[1])
+        fold()
         del logits
     finally:
         tracemalloc.stop()
@@ -130,9 +146,9 @@ def main(argv=None):
     if args.eval is not None:
         print(f"# one no_grad forward, efficiency_config(0), hard gates, B=1, L={args.eval}; "
               "peak MiB above the pre-forward baseline (tracemalloc)")
-        print(f"{'stage':<14} {'calls':>6} {'peak_mib':>10}")
+        print(f"{'stage':<16} {'calls':>6} {'peak_mib':>10}")
         for stage, n, peak in forward_memory(args.eval):
-            print(f"{stage:<14} {n:>6} {peak:>10.1f}")
+            print(f"{stage:<16} {n:>6} {peak:>10.1f}")
         return
     rows = step_memory(args.vocab, args.batch, args.length)
     print(f"# one training step, wikitext_config(vocab={args.vocab}), B={args.batch}, L={args.length}; "
