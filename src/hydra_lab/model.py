@@ -381,7 +381,7 @@ def tri_path_block(x: Tensor, bp: HydraBlockParams, decision: RouterDecision,
     u = T.layer_norm(x, bp.ln_gain, bp.ln_bias, 1e-5)
     tok_chunk = _tok_chunk_map(x.data.shape[-2], config.chunk_size)
     # each residual is one op; under no_grad it writes into its path's output
-    y = T.gated_add(x, bp.gates.g1, ssm_scan(u, bp.ssm), overwrite_p=True)
+    y = T.gated_add(x, bp.gates.g1, ssm_scan(u, bp.ssm))
 
     if bp.sga is not None and "sga" not in ablate:
         if train_mode:
@@ -400,12 +400,12 @@ def tri_path_block(x: Tensor, bp: HydraBlockParams, decision: RouterDecision,
                 explore = explore_rng.integers(0, L, size=(B, min(bp.sga.max_globals, L)))
             attn = sga_forward(u, bp.sga, block_size=config.attn_block, explore=explore)
             gated = T.mul(T.reshape(gate_tok, gate_tok.data.shape + (1,)), attn)
-            y = T.gated_add(y, bp.gates.g2, gated, overwrite_p=True)
+            y = T.gated_add(y, bp.gates.g2, gated)
 
     if bp.moe is not None and "moe" not in ablate:
         moe_out = moe_apply(u, bp.moe, decision.expert_ids, decision.expert_weights)
         del u               # not held through the last residual
-        y = T.gated_add(y, bp.gates.g3, moe_out, overwrite_p=True)
+        y = T.gated_add(y, bp.gates.g3, moe_out)
     return y
 
 

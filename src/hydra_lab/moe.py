@@ -169,14 +169,15 @@ def moe_apply(u: Tensor, pool: ExpertPool, expert_ids: np.ndarray,
     """Vectorized chunk-routed expert application on [B, L, d].
 
     The weighted rows of each expert go to ``scatter_rows`` in expert
-    order. A recorded call runs each expert once, over all its rows, and
-    hands the scatter the list of parts. Under ``no_grad`` each expert runs
-    over the same number of near-equal row blocks, enough that none has
-    more than ``T.ROW_BLOCK`` rows (an expert has at most B * L), made one
-    at a time as the scatter adds them into the sum. So no [rows, d] or
-    [rows, h] array larger than a block is live, and the number of ops does
-    not depend on the routing. Either way each row receives the same sums
-    in the same order.
+    order, each part made as the scatter pulls it. A recorded call runs
+    each expert once, over all its rows. Under ``no_grad`` an expert with
+    more than ``T.ROW_BLOCK`` rows runs over ceil(rows / ``T.ROW_BLOCK``)
+    near-equal blocks, each of at least ``T.ROW_BLOCK`` / 2 rows, and one
+    with fewer runs whole, as when recorded. Empty blocks then pad every
+    busy expert to ceil(B * L / ``T.ROW_BLOCK``) blocks (an expert has at
+    most B * L rows), so the number of ops does not depend on the routing.
+    No [rows, d] or [rows, h] array larger than a block is live; the
+    scatter adds each block into the sum and drops it.
     """
     B, L, d = u.data.shape
     cs = pool.chunk_size
@@ -185,11 +186,7 @@ def moe_apply(u: Tensor, pool: ExpertPool, expert_ids: np.ndarray,
     C = -(-L // cs)
     w_flat = T.reshape(expert_weights, (B * C * k,))
     ids_flat = expert_ids.reshape(B * C, k)
-    recorded = T._GRAD_ENABLED
-    # near-equal blocks, not full ones and a remainder: a sliver of a few
-    # rows may go through another BLAS kernel (one row through gemv) and
-    # round differently from the whole
-    n_blocks = 1 if recorded else -(-B * L // T.ROW_BLOCK)
+    n_blocks = 1 if T._GRAD_ENABLED else -(-B * L // T.ROW_BLOCK)
 
     # first row and length of each (batch, chunk)
     offsets = np.arange(0, L, cs)
@@ -206,15 +203,18 @@ def moe_apply(u: Tensor, pool: ExpertPool, expert_ids: np.ndarray,
             # shifted by the rows placed before it, plus a running count
             rows = np.repeat(starts[sel_chunks] - (np.cumsum(n) - n), n) + np.arange(n.sum())
             wpos = np.repeat(sel_chunks * k + sel_slots, n)
-            edges = np.arange(n_blocks + 1) * rows.size // n_blocks
+            # near-equal blocks of at least ROW_BLOCK / 2 rows, or the
+            # whole: a sliver of a few rows may go through another BLAS
+            # kernel (one row through gemv) and round differently from the
+            # whole. Then empty blocks up to n_blocks
+            m = min(n_blocks, -(-rows.size // T.ROW_BLOCK))
+            edges = np.concatenate([np.arange(m + 1) * rows.size // m, np.full(n_blocks - m, rows.size)])
             for lo, hi in zip(edges[:-1], edges[1:]):
                 r = rows[lo:hi]
                 tok_w = T.reshape(T.gather_rows(w_flat, wpos[lo:hi]), (r.size, 1))
                 yield T.mul(pool.experts[e](T.gather_rows(x2, r)), tok_w), r
 
-    # a recorded call makes its parts before the scatter, which keeps the
-    # scatter's own time apart; the tape keeps every part anyway
-    return T.reshape(scatter_rows(list(parts()) if recorded else parts(), B * L), (B, L, d))
+    return T.reshape(scatter_rows(parts(), B * L), (B, L, d))
 
 
 def dispatch_fractions(expert_ids: np.ndarray, n_experts: int) -> np.ndarray:

@@ -189,4 +189,4 @@ def pkm_blend(h: Tensor, m: Tensor, beta, w_val: Tensor) -> Tensor:
     if np.any(beta.data < 0) or np.any(beta.data > 1):
         raise T._op_error(UsageError, "pkm_blend: beta must lie in [0, 1]")
     proj = T.matmul(m, T.transpose(w_val))                     # [.., d]
-    return T.gated_add(h, beta, proj, overwrite_p=True)
+    return T.gated_add(h, beta, proj)

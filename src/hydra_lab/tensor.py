@@ -15,7 +15,7 @@ kernels: ``_stable_sigmoid`` and the SiLU kernel ``_silu``, which under
 ``no_grad`` works in fixed-size blocks and keeps no full-size sigmoid.
 ``ROW_BLOCK`` sizes the row blocks of the MoE experts and the PKM read
 under ``no_grad``. ``gated_add`` is the model's gated residual
-``x + g * p`` as one op.
+``x + g * p`` as one op; when not recorded it writes into p.
 """
 
 from __future__ import annotations
@@ -266,15 +266,15 @@ def mul(a, b) -> Tensor:
     return _make_output(out, (a, b), bwd, "mul")
 
 
-def gated_add(x, g, p, overwrite_p: bool = False) -> Tensor:
+def gated_add(x, g, p) -> Tensor:
     """``x + g * p`` as one op: the residual of a gated path.
 
     The value and the gradients equal those of ``add(x, mul(g, p))`` bit
     for bit, but the op makes one array, not two, and its backward keeps
-    no product. With ``overwrite_p``, a call that is not recorded writes
-    the sum into p's buffer when that buffer has the output's shape and
-    does not overlap x, so it allocates nothing; the caller must not read
-    p afterwards.
+    no product. A call that is not recorded consumes p: it writes the sum
+    into p's buffer when that buffer has the output's shape, is writeable
+    and does not overlap x, so it allocates nothing. Pass a path output
+    that nothing reads afterwards, or a copy.
     """
     x, g, p = as_tensor(x), as_tensor(g), as_tensor(p)
     xd, gd, pd = x.data, g.data, p.data
@@ -284,7 +284,7 @@ def gated_add(x, g, p, overwrite_p: bool = False) -> Tensor:
     except ValueError:
         raise _op_error(ShapeError, f"gated_add: x {xd.shape} and g * p {gp_shape} do not broadcast") from None
     recorded = _GRAD_ENABLED and (x.requires_grad or g.requires_grad or p.requires_grad)
-    in_place = (overwrite_p and not recorded and pd.shape == shape and pd.flags.writeable
+    in_place = (not recorded and pd.shape == shape and pd.flags.writeable
                 and not np.may_share_memory(pd, xd))
     out = np.multiply(gd, pd, out=pd if in_place else np.empty(shape))
     out += xd           # x + gp and gp + x round alike
@@ -318,8 +318,8 @@ def _stable_sigmoid(xd: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 #: elements per block of the SiLU kernel when it keeps no sigmoid: its one
 #: sigmoid buffer (256 KiB) stays this size, and stays in cache
 SILU_CHUNK = 1 << 15
-#: rows per block of the row-blocked forwards under ``no_grad`` (the MoE
-#: experts and the PKM read's row buffer): 4 MiB at 256 float64 columns
+#: most rows per block of the row-blocked forwards under ``no_grad`` (the
+#: MoE experts and the PKM read's row buffer): 4 MiB at 256 float64 columns
 ROW_BLOCK = 2048
 
 

@@ -110,4 +110,4 @@ def workspace_read(h: Tensor, slots: Tensor, beta: Tensor, params: WorkspacePara
     read = T.reshape(read, (B, C * cs, d))
     if pad:
         read = read[:, :L]
-    return T.gated_add(h, T.reshape(beta, (B, L, 1)), read, overwrite_p=True)
+    return T.gated_add(h, T.reshape(beta, (B, L, 1)), read)

@@ -310,13 +310,39 @@ class TestStreamedExperts:
         assert len(rows) == 3                                      # one call per busy expert
         with no_grad():
             plain = moe_apply(x, pool, ids, w)
-        # every busy expert runs over the same number of near-equal blocks
+        # every busy expert makes the same number of blocks: near-equal
+        # ones of at most ROW_BLOCK rows, then empty ones
         n_blocks = -(-2 * L // T.ROW_BLOCK)
         assert n_blocks > 1 and len(rows) == 3 + 3 * n_blocks
         for e in range(3):
-            blocks = rows[3 + e * n_blocks:3 + (e + 1) * n_blocks]
-            assert sum(blocks) == rows[e] and max(blocks) - min(blocks) <= 1 and max(blocks) <= T.ROW_BLOCK
+            _assert_blocks(rows[3 + e * n_blocks:3 + (e + 1) * n_blocks], rows[e])
+        assert max(rows[3:]) > T.ROW_BLOCK // 2                    # some expert is split
         assert recorded.requires_grad and not plain.requires_grad
+        np.testing.assert_array_equal(plain.data, recorded.data)
+
+    def test_small_expert_runs_whole(self, monkeypatch):
+        # B = 2, L = 37, chunk 4, ROW_BLOCK = 8: 10 blocks per busy expert.
+        # Expert 2 gets one chunk (4 rows), expert 1 one chunk fewer than
+        # expert 0. Splitting 4 rows ten ways would give 1-row blocks
+        rng = np.random.default_rng(26)
+        pool = init_expert_pool(d=8, hidden=16, n_experts=3, chunk_size=4, rng=rng)
+        ids, _ = fixed_routing([0, 1], [0.5, 0.5], B=2, C=10)
+        ids[1, 3] = [0, 2]
+        w = Tensor(rng.dirichlet([1.0, 1.0], size=(2, 10)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 37, 8)), requires_grad=True)
+        monkeypatch.setattr(T, "ROW_BLOCK", 8)
+        rows = []
+        pool.experts = [_counting(e, rows) for e in pool.experts]
+        T.reset_tape()
+        recorded = moe_apply(x, pool, ids, w)
+        T.reset_tape()
+        assert rows == [74, 70, 4]
+        with no_grad():
+            plain = moe_apply(x, pool, ids, w)
+        assert len(rows) == 3 + 3 * 10
+        for e in range(3):
+            _assert_blocks(rows[3 + e * 10:3 + (e + 1) * 10], rows[e])
+        assert rows[3 + 2 * 10:] == [4] + [0] * 9
         np.testing.assert_array_equal(plain.data, recorded.data)
 
     def test_no_grad_peak(self):
@@ -338,6 +364,16 @@ class TestStreamedExperts:
             tracemalloc.stop()
         n = out.data.nbytes
         assert peak < 2 * n, peak / n
+
+
+def _assert_blocks(blocks, total):
+    """An expert's blocks: ceil(total / ROW_BLOCK) near-equal ones, each the
+    whole or of at least ROW_BLOCK / 2 rows, then empty ones."""
+    m = -(-total // T.ROW_BLOCK)
+    full, empty = blocks[:m], blocks[m:]
+    assert sum(full) == total and max(full) - min(full) <= 1 and max(full) <= T.ROW_BLOCK
+    assert m == 1 or min(full) >= T.ROW_BLOCK / 2
+    assert not any(empty)
 
 
 def _counting(expert, rows):

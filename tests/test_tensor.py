@@ -430,8 +430,8 @@ class TestGatedAdd:
             backward(T.tsum(T.mul(y, w)))
             outs.append(y.data)
             grads.append([t.grad for t in (x, g, p)])
-            with no_grad():
-                outs.append(f(x, g, p).data)
+            with no_grad():             # gated_add writes into p here: pass a copy
+                outs.append(f(x, g, Tensor(p.data.copy())).data)
         for o in outs[1:]:
             np.testing.assert_array_equal(outs[0], o)
         for a, b in zip(*grads):
@@ -443,8 +443,10 @@ class TestGatedAdd:
         ops = [x, g, p]
 
         def f(t):
-            args = ops[:which] + [t] + ops[which + 1:]
-            return T.tsum(T.mul(T.gated_add(*args), w))
+            a, b, c = ops[:which] + [t] + ops[which + 1:]
+            # c times one is a fresh p: the finite differences run under
+            # no_grad, where gated_add writes into p
+            return T.tsum(T.mul(T.gated_add(a, b, T.mul(c, 1.0)), w))
 
         rep = grad_check(f, ops[which], h=1e-6, tol=1e-6)
         assert rep.passed, rep
@@ -452,23 +454,34 @@ class TestGatedAdd:
     def test_one_tape_op_keeps_no_product(self, operands):
         x, g, p, _ = operands
         T.reset_tape()
-        y = T.gated_add(x, g, p, overwrite_p=True)
+        y = T.gated_add(x, g, p)
         assert T.tape_size() == 1 and T._TAPE[0].name == "gated_add"
         assert not np.shares_memory(y.data, p.data)          # recorded: p is kept for the backward
         T.reset_tape()
 
-    def test_overwrite_p_writes_into_p_when_not_recorded(self, operands):
+    def test_writes_into_p_when_not_recorded(self, operands):
         x, g, p, _ = operands
         want = T.add(x, T.mul(g, p)).data
         T.reset_tape()
         buf = p.data.copy()
         with no_grad():
-            y = T.gated_add(x, g, Tensor(buf), overwrite_p=True)
+            y = T.gated_add(x, g, Tensor(buf))
             np.testing.assert_array_equal(y.data, want)
             assert np.shares_memory(y.data, buf)
-            z = T.gated_add(x, g, x, overwrite_p=True)       # p is x: a new array
-        assert not np.shares_memory(z.data, x.data)
+            x0 = x.data.copy()
+            z = T.gated_add(x, g, x)                          # p is x: a new array
+            assert not np.shares_memory(z.data, x.data)
+            np.testing.assert_array_equal(x.data, x0)
+            ro = p.data.copy()
+            ro.flags.writeable = False
+            r = T.gated_add(x, g, Tensor(ro))                 # read-only p: a new array
+            row = p.data[:, :, :1].copy()
+            b = T.gated_add(x, g, Tensor(row))                # p broadcast up: a new array
         np.testing.assert_array_equal(z.data, T.add(x, T.mul(g, x)).data)
+        assert not np.shares_memory(r.data, ro)
+        np.testing.assert_array_equal(r.data, want)
+        np.testing.assert_array_equal(row, p.data[:, :, :1])
+        np.testing.assert_array_equal(b.data, T.add(x, T.mul(g, Tensor(row))).data)
         T.reset_tape()
 
 
