@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ModelConfig, hydra_forward, transformer_forward
+from .model import ModelConfig
 from .tasks import gen_random_tokens
 from .tensor import UsageError, no_grad
 
@@ -47,18 +47,16 @@ class ScalingFit:
     r_squared: float
 
 
-def _forward_once(kind, tokens, config, params):
+def _forward_once(tokens, config, params):
     with no_grad():
-        if kind == "hydra":
-            # all conditional paths live: worst-case hybrid cost
-            hydra_forward(tokens, config, params, train_mode=True)
-        else:
-            transformer_forward(tokens, config, params)
+        # all conditional paths live: worst-case hybrid cost
+        params.forward(tokens, config, train_mode=True)
 
 
-def measure_throughput(kind: str, config: ModelConfig, params, L: int,
+def measure_throughput(config: ModelConfig, params, L: int,
                        n_repeats: int = 5, seed: int = 0) -> BenchRecord:
-    """Median-of-repeats forward timing at one sequence length.
+    """Median-of-repeats forward timing at one sequence length, for the
+    variant ``params.kind``.
 
     tokens_per_sec and ms_per_token both come from the median run;
     peak_mem_mb is the forward's own peak (see ``_forward_peak_mb``).
@@ -69,32 +67,32 @@ def measure_throughput(kind: str, config: ModelConfig, params, L: int,
         raise UsageError("n_repeats must be >= 3")
     tokens = gen_random_tokens(L, config.vocab, seed).tokens
     for _ in range(2):  # warmup
-        _forward_once(kind, tokens, config, params)
+        _forward_once(tokens, config, params)
     times = []
     for _ in range(n_repeats):
         t0 = time.monotonic()
-        _forward_once(kind, tokens, config, params)
+        _forward_once(tokens, config, params)
         times.append(time.monotonic() - t0)
     times = np.array(times)
     med = float(np.median(times))
     return BenchRecord(
-        variant=kind, seq_len=L,
+        variant=params.kind, seq_len=L,
         tokens_per_sec=L / med,
         ms_per_token=1000.0 * med / L,
-        peak_mem_mb=_forward_peak_mb(kind, tokens, config, params),
+        peak_mem_mb=_forward_peak_mb(tokens, config, params),
         n_repeats=n_repeats,
         stddev=float(times.std()),
     )
 
 
-def _forward_peak_mb(kind, tokens, config, params) -> float:
+def _forward_peak_mb(tokens, config, params) -> float:
     """Peak bytes (MiB) one forward allocates above the live baseline."""
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        _forward_once(kind, tokens, config, params)
+        _forward_once(tokens, config, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import os
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .model import ModelConfig, build_hydra, build_transformer
+from .model import BUILDERS, ModelConfig
 from .tensor import UsageError
 
 MAGIC = b"HYDRALAB"
@@ -29,6 +30,8 @@ VERSION = 2
 def save_checkpoint(path, kind: str, config: ModelConfig, named_params) -> None:
     """Write atomically: a temp file in the same directory, then a rename,
     so a failed save leaves any earlier file at ``path`` as it was."""
+    if kind not in BUILDERS:
+        raise UsageError(f"unknown model kind {kind!r}; choose from {sorted(BUILDERS)}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     meta = json.dumps({"kind": kind, "config": config.to_dict()}).encode("utf-8")
@@ -62,6 +65,23 @@ def _read(f, n: int, path, what: str) -> bytes:
     return buf
 
 
+def _parse_meta(blob: bytes, path):
+    """(kind, ModelConfig) from the JSON header; anything else is a
+    ``UsageError`` that names the file."""
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+        kind, config = meta["kind"], dict(meta["config"])
+    except (ValueError, TypeError, KeyError) as e:
+        raise UsageError(f"{path}: corrupt checkpoint metadata ({type(e).__name__}: {e})") from None
+    if not isinstance(kind, str) or kind not in BUILDERS:
+        raise UsageError(f"{path}: unknown model kind {kind!r}")
+    keys = {f.name for f in fields(ModelConfig)}
+    if set(config) != keys:
+        raise UsageError(f"{path}: checkpoint config keys differ from ModelConfig: "
+                         f"missing={sorted(keys - set(config))} unknown={sorted(set(config) - keys)}")
+    return kind, ModelConfig.from_dict(config)
+
+
 def load_checkpoint(path):
     """Returns (kind, ModelConfig, {name: ndarray})."""
     path = Path(path)
@@ -74,7 +94,7 @@ def load_checkpoint(path):
         if version != VERSION:
             raise UsageError(f"{path}: unsupported checkpoint version {version} (expected {VERSION})")
         (mlen,) = struct.unpack("<I", _read(f, 4, path, "header"))
-        meta = json.loads(_read(f, mlen, path, "header").decode("utf-8"))
+        kind, config = _parse_meta(_read(f, mlen, path, "header"), path)
         (count,) = struct.unpack("<I", _read(f, 4, path, "header"))
         arrays = {}
         for _ in range(count):
@@ -84,13 +104,14 @@ def load_checkpoint(path):
             dims = struct.unpack(f"<{ndim}q", _read(f, 8 * ndim, path, f"dims of {name}"))
             n = int(np.prod(dims)) if dims else 1
             arrays[name] = np.frombuffer(_read(f, 8 * n, path, f"data of {name}"), dtype="<f8").reshape(dims).copy()
-    return meta["kind"], ModelConfig.from_dict(meta["config"]), arrays
+    return kind, config, arrays
 
 
 def restore_model(path):
-    """Rebuild a model from a checkpoint: (kind, config, params)."""
+    """Rebuild a model from a checkpoint: (config, params); the model
+    reports its kind as ``params.kind``."""
     kind, config, arrays = load_checkpoint(path)
-    params = build_hydra(config) if kind == "hydra" else build_transformer(config)
+    params = BUILDERS[kind](config)
     named = dict(params.parameters())
     missing = set(named) - set(arrays)
     extra = set(arrays) - set(named)
@@ -100,4 +121,4 @@ def restore_model(path):
         if named[name].data.shape != arr.shape:
             raise UsageError(f"shape mismatch for {name}")
         named[name].data[...] = arr
-    return kind, config, params
+    return config, params

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import restore_model
-from .experiments import run_efficiency, run_experiment
-from .model import ABLATABLE
+from .experiments import EXPERIMENTS, PROTOCOLS, run_efficiency, run_experiment
+from .model import ABLATABLE, BUILDERS
 from .tasks import (
     gen_distant_premise,
     gen_logic_chain,
@@ -175,7 +175,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.time()
-    kind, config, params = restore_model(args.checkpoint)
+    config, params = restore_model(args.checkpoint)
     samples = read_samples(args.task_file)
     too_big = max(int(np.max(s.tokens)) for s in samples)
     if too_big >= config.vocab:
@@ -183,7 +183,7 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return 1
     collected = []
-    acc = evaluate_accuracy(kind, config, params, samples, collect=collected)
+    acc = evaluate_accuracy(config, params, samples, collect=collected)
     print(f"accuracy {acc:.4f} over {len(samples)} samples")
     lines = [f"metric,value", f"accuracy,{acc!r}"]
     modes = {s.meta.get("is_open_book") for s in samples}
@@ -257,13 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="run one experiment arm")
-    t.add_argument("experiment",
-                   choices=("logic", "efficiency", "wikitext", "pkm_recall",
-                            "distant_premise", "moe_dense"))
+    t.add_argument("experiment", choices=EXPERIMENTS)
     t.add_argument("--config", help="JSON config file: {'model': {...}, 'task': {...}}")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--scale", type=float, default=1.0, help="epoch-count multiplier")
-    t.add_argument("--model", choices=("hydra", "transformer"), default="hydra")
+    t.add_argument("--model", choices=tuple(BUILDERS), default="hydra")
     t.add_argument("--ablate", action="append", choices=ABLATABLE,
                    help="hard-disable a component (repeatable)")
     t.add_argument("--out", help="run directory")
@@ -272,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_train)
 
     a = sub.add_parser("ablate", help="train the full model plus per-component ablations")
-    a.add_argument("experiment", choices=("logic", "wikitext", "pkm_recall",
-                                          "distant_premise", "moe_dense"))
+    a.add_argument("experiment", choices=tuple(PROTOCOLS))
     a.add_argument("--components", nargs="+", choices=ABLATABLE,
                    default=list(ABLATABLE))
     a.add_argument("--config")

@@ -216,6 +216,13 @@ class HydraParams:
     final_gain: Tensor
     final_bias: Tensor
 
+    kind = "hydra"
+
+    def forward(self, tokens, config, **kw) -> Tensor:
+        # the module-level name is looked up per call, so a wrapper
+        # patched onto it (the benchmark's tracer) sees every forward
+        return hydra_forward(tokens, config, self, **kw)
+
     def parameters(self):
         ps = [("embedding", self.embedding), ("positions", self.positions)]
         for i, b in enumerate(self.blocks):
@@ -253,6 +260,11 @@ class TransformerParams:
     final_gain: Tensor
     final_bias: Tensor
     ffn_hidden: int
+
+    kind = "transformer"
+
+    def forward(self, tokens, config, **kw) -> Tensor:
+        return transformer_forward(tokens, config, self, **kw)
 
     def parameters(self):
         ps = [("embedding", self.embedding), ("positions", self.positions)]
@@ -356,6 +368,10 @@ def build_transformer(config: ModelConfig) -> TransformerParams:
     )
 
 
+#: model kind -> builder; each built model reports its own ``kind``
+BUILDERS = {"hydra": build_hydra, "transformer": build_transformer}
+
+
 # ---------------------------------------------------------------------------
 # forward passes
 
@@ -438,6 +454,29 @@ def _memory_stage(h: Tensor, params: HydraParams, decision: RouterDecision,
     return h
 
 
+def _embed(tokens, config: ModelConfig, params):
+    """Checked token ids [L] or [B, L] -> (embedding plus positions
+    [B, L, d], whether the input was one unbatched sequence)."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    squeeze = tokens.ndim == 1
+    if squeeze:
+        tokens = tokens[None, :]
+    L = tokens.shape[1]
+    if L > config.max_len:
+        raise UsageError(f"sequence length {L} exceeds max_len {config.max_len}")
+    if tokens.min() < 0 or tokens.max() >= config.vocab:
+        raise UsageError("token id outside vocabulary")
+    return T.add(T.gather_rows(params.embedding, tokens), params.positions[:L]), squeeze
+
+
+def _logits(h: Tensor, config: ModelConfig, params, squeeze: bool) -> Tensor:
+    """Final layer norm and the logits tied to the embedding."""
+    L = h.data.shape[1]
+    h = T.layer_norm(h, params.final_gain, params.final_bias, 1e-5)
+    logits = T.matmul(h, T.transpose(params.embedding))
+    return T.reshape(logits, (L, config.vocab)) if squeeze else logits
+
+
 def hydra_forward(tokens, config: ModelConfig, params: HydraParams,
                   train_mode: bool = False, ablate=frozenset(),
                   stats: dict | None = None, explore_rng=None) -> Tensor:
@@ -450,17 +489,8 @@ def hydra_forward(tokens, config: ModelConfig, params: HydraParams,
     bad = ablate.difference(ABLATABLE)
     if bad:
         raise UsageError(f"unknown ablation target(s): {sorted(bad)}")
-    tokens = np.asarray(tokens, dtype=np.int64)
-    squeeze = tokens.ndim == 1
-    if squeeze:
-        tokens = tokens[None, :]
-    B, L = tokens.shape
-    if L > config.max_len:
-        raise UsageError(f"sequence length {L} exceeds max_len {config.max_len}")
-    if tokens.min() < 0 or tokens.max() >= config.vocab:
-        raise UsageError("token id outside vocabulary")
-
-    h = T.add(T.gather_rows(params.embedding, tokens), params.positions[:L])
+    h, squeeze = _embed(tokens, config, params)
+    B = h.data.shape[0]
 
     # decisions for chunk c are derived from the summary of chunk c-1
     # (zero for the first chunk), so no token is routed by content that
@@ -480,36 +510,25 @@ def hydra_forward(tokens, config: ModelConfig, params: HydraParams,
         h = tri_path_block(h, bp, decision, config, train_mode, ablate, explore_rng)
         if b == mem_at:
             h = _memory_stage(h, params, decision, config, ablate, stats)
-
-    h = T.layer_norm(h, params.final_gain, params.final_bias, 1e-5)
-    logits = T.matmul(h, T.transpose(params.embedding))
-    return T.reshape(logits, (L, config.vocab)) if squeeze else logits
+    return _logits(h, config, params, squeeze)
 
 
 def transformer_forward(tokens, config: ModelConfig, params: TransformerParams,
-                        train_mode: bool = False, stats: dict | None = None) -> Tensor:
-    """Pre-norm dense-attention decoder with the same interface."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    squeeze = tokens.ndim == 1
-    if squeeze:
-        tokens = tokens[None, :]
-    L = tokens.shape[1]
-    if L > config.max_len:
-        raise UsageError(f"sequence length {L} exceeds max_len {config.max_len}")
-    if tokens.min() < 0 or tokens.max() >= config.vocab:
-        raise UsageError("token id outside vocabulary")
-
-    h = T.add(T.gather_rows(params.embedding, tokens), params.positions[:L])
+                        train_mode: bool = False, ablate=frozenset(),
+                        stats: dict | None = None, explore_rng=None) -> Tensor:
+    """Pre-norm dense-attention decoder. It takes ``hydra_forward``'s
+    keywords; with no gates, router or global selection it ignores them,
+    and a non-empty ``ablate`` is a ``UsageError``."""
+    if ablate:
+        raise UsageError(f"the transformer baseline has nothing to ablate: {sorted(ablate)}")
+    h, squeeze = _embed(tokens, config, params)
     for bp in params.blocks:
         u = T.layer_norm(h, bp.ln1_gain, bp.ln1_bias, 1e-5)
         # window = max_len and no globals: dense causal attention
         h = T.add(h, sga_forward(u, bp.attn, block_size=config.attn_block))
         u = T.layer_norm(h, bp.ln2_gain, bp.ln2_bias, 1e-5)
         h = T.add(h, T.matmul(T.silu(T.matmul(u, bp.ffn_in)), bp.ffn_out))
-
-    h = T.layer_norm(h, params.final_gain, params.final_bias, 1e-5)
-    logits = T.matmul(h, T.transpose(params.embedding))
-    return T.reshape(logits, (L, config.vocab)) if squeeze else logits
+    return _logits(h, config, params, squeeze)
 
 
 # ---------------------------------------------------------------------------

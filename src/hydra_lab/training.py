@@ -1,7 +1,7 @@
 """Optimizers, losses, report records, and the generic training loop
 that the protocols in ``experiments.py`` drive.
 
-``train_model`` trains one arm (a model kind plus optional ablations),
+``train_model`` trains one arm (a built model plus optional ablations),
 logs one report row per epoch, and evaluates at the end. Every path
 that is not ablated trains from the first step; ablated paths stay
 frozen at their initial weights. The auxiliary
@@ -22,13 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .model import ModelConfig, hydra_forward, transformer_forward
+from .model import ModelConfig
 from .moe import dispatch_fractions, load_balance_loss
 from .rng import substream
 from .tasks import TaskSample
 from .tensor import Tensor, backward, no_grad
-
-EXPERIMENTS = ("logic", "efficiency", "wikitext", "pkm_recall", "distant_premise", "moe_dense")
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +170,6 @@ class TrainSettings:
     log_every_epoch: bool = True
 
 
-def _forward(kind, tokens, config, params, **kw):
-    if kind == "hydra":
-        return hydra_forward(tokens, config, params, **kw)
-    kw.pop("ablate", None)
-    kw.pop("explore_rng", None)
-    return transformer_forward(tokens, config, params, **kw)
-
-
 def _answer_targets(batch: list[TaskSample], L: int):
     """Supervision targets: full next-token sequences when samples carry
     them, otherwise only the final position (answer-only tasks)."""
@@ -205,27 +195,25 @@ def _entropy(hist: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum()) if p.size else 0.0
 
 
-def train_model(kind: str, config: ModelConfig, params, train_samples, eval_samples,
-                settings: TrainSettings, seed: int, ablate=frozenset(),
-                eval_fn=None, report: TrainReport | None = None, resample_fn=None):
-    """Train one arm; returns the report. ``eval_fn(params) -> accuracy``
-    defaults to final-position argmax accuracy on eval_samples.
-    ``resample_fn(epoch)``, when given, regenerates the training set at
-    each epoch start (the online regime for synthetic tasks)."""
+def train_model(config: ModelConfig, params, train_samples, eval_samples,
+                settings: TrainSettings, seed: int, ablate=frozenset(), resample_fn=None):
+    """Train one arm; returns the report, whose accuracy column is the
+    final-position argmax accuracy on eval_samples (0.0 when there are
+    none). ``resample_fn(epoch)``, when given, regenerates the training set at
+    each epoch start (the online regime for synthetic tasks). The
+    auxiliary terms apply when the forward reports a router decision
+    in its stats, which only the hybrid does."""
     ablate = frozenset(ablate)
     named = params.parameters()
     state = OptimState(lr=settings.lr, weight_decay=settings.weight_decay)
     shuffle_rng = substream(seed, "train.shuffle")
     explore_rng = substream(seed, "train.explore") if settings.explore_sga else None
-    report = report if report is not None else TrainReport()
-    has_moe = kind == "hydra" and "moe" not in ablate and len(config.moe_block_ids()) > 0
+    report = TrainReport()
+    has_moe = "moe" not in ablate and len(config.moe_block_ids()) > 0
     bal_w = BALANCE_WEIGHT if has_moe else 0.0
+    gate_w = settings.gate_penalty if "pkm" not in ablate or "workspace" not in ablate else 0.0
     frozen_static = {n for n, _ in named if ablate and any(
         a in n for a in ({"workspace": "workspace.", "pkm": "pkm.", "sga": ".sga.", "moe": ".moe."}[x] for x in ablate))}
-
-    if eval_fn is None:
-        def eval_fn(prm):
-            return evaluate_accuracy(kind, config, prm, eval_samples, ablate)
 
     for epoch in range(settings.epochs):
         t0 = time.perf_counter()
@@ -242,20 +230,19 @@ def train_model(kind: str, config: ModelConfig, params, train_samples, eval_samp
             targets, mask = _answer_targets(batch, toks.shape[1])
 
             stats = {}
-            logits = _forward(kind, toks, config, params, train_mode=True, ablate=ablate,
-                              stats=stats, explore_rng=explore_rng)
+            logits = params.forward(toks, config, train_mode=True, ablate=ablate,
+                                    stats=stats, explore_rng=explore_rng)
             loss = lm_loss(logits, targets, mask)
-            if bal_w:
-                dec = stats["decision"]
+            dec = stats.get("decision")
+            if bal_w and dec is not None:
                 E = config.n_experts
                 dist = T.reshape(dec.full_distribution, (-1, E))
                 bal = load_balance_loss(dist, dispatch_fractions(dec.expert_ids, E))
                 loss = T.add(loss, T.mul(bal, bal_w))
                 ep_bal += bal.item()
-            if kind == "hydra" and settings.gate_penalty and ("pkm" not in ablate or "workspace" not in ablate):
-                dec = stats["decision"]
+            if gate_w and dec is not None:
                 gate = T.add(T.tmean(dec.beta_pkm), T.tmean(dec.beta_ws))
-                loss = T.add(loss, T.mul(gate, settings.gate_penalty))
+                loss = T.add(loss, T.mul(gate, gate_w))
                 ep_gate += gate.item()
 
             ep_loss += loss.item()
@@ -263,13 +250,13 @@ def train_model(kind: str, config: ModelConfig, params, train_samples, eval_samp
             adam_step(named, state, frozen=frozen_static)
             zero_grads(named)
 
-            if kind == "hydra":
-                gate_stats += [stats.get("mean_p_sga", 0.0), stats.get("mean_beta_ws", 0.0),
-                               stats.get("mean_beta_pkm", 0.0)]
-                hist += stats.get("expert_histogram", np.zeros(config.n_experts))
+            gate_stats += [stats.get("mean_p_sga", 0.0), stats.get("mean_beta_ws", 0.0),
+                           stats.get("mean_beta_pkm", 0.0)]
+            hist += stats.get("expert_histogram", 0.0)
             n_batches += 1
 
-        acc = eval_fn(params) if settings.log_every_epoch or epoch == settings.epochs - 1 else ""
+        last = epoch == settings.epochs - 1
+        acc = evaluate_accuracy(config, params, eval_samples, ablate) if settings.log_every_epoch or last else ""
         hist_norm = hist / max(hist.sum(), 1.0)
         report.add(
             epoch=epoch, loss=ep_loss / max(n_batches, 1), accuracy=acc,
@@ -284,7 +271,7 @@ def train_model(kind: str, config: ModelConfig, params, train_samples, eval_samp
     return report
 
 
-def evaluate_accuracy(kind, config, params, samples, ablate=frozenset(),
+def evaluate_accuracy(config, params, samples, ablate=frozenset(),
                       batch_size=32, collect=None):
     """Final-position argmax accuracy; optionally collects gate stats."""
     if not samples:
@@ -295,12 +282,12 @@ def evaluate_accuracy(kind, config, params, samples, ablate=frozenset(),
         toks = np.stack([s.tokens for s in batch])
         stats = {}
         with no_grad():
-            logits = _forward(kind, toks, config, params, ablate=ablate, stats=stats)
+            logits = params.forward(toks, config, ablate=ablate, stats=stats)
         pred = logits.data[:, -1, :].argmax(axis=-1)
         for i, s in enumerate(batch):
             hits += int(pred[i] == int(s.target))
-        if collect is not None and kind == "hydra":
-            dec = stats["decision"]
+        dec = stats.get("decision")
+        if collect is not None and dec is not None:
             top_slot = dec.expert_weights.data[:, -1, :].argmax(axis=-1)
             for i, s in enumerate(batch):
                 collect.append({

@@ -38,14 +38,14 @@ class TestMeasure:
     def test_smoke_l1(self):
         cfg = tiny_cfg()
         params = build_hydra(cfg)
-        r = measure_throughput("hydra", cfg, params, 1, n_repeats=3)
+        r = measure_throughput(cfg, params, 1, n_repeats=3)
         assert r.tokens_per_sec > 0
         assert r.seq_len == 1
 
     def test_invariant_tokens_per_sec_definition(self):
         cfg = tiny_cfg()
         params = build_hydra(cfg)
-        r = measure_throughput("hydra", cfg, params, 64, n_repeats=3)
+        r = measure_throughput(cfg, params, 64, n_repeats=3)
         # both rates come from the same median run
         assert r.tokens_per_sec * r.ms_per_token == pytest.approx(1000.0, rel=1e-12)
 
@@ -63,8 +63,8 @@ class TestMeasure:
         monkeypatch.setattr(bench, "time", SimpleNamespace(monotonic=lambda: next(clock)))
         cfg = tiny_cfg()
         params = build_hydra(cfg)
-        a = measure_throughput("hydra", cfg, params, 128, n_repeats=5)
-        b = measure_throughput("hydra", cfg, params, 128, n_repeats=5)
+        a = measure_throughput(cfg, params, 128, n_repeats=5)
+        b = measure_throughput(cfg, params, 128, n_repeats=5)
         assert next(clock, None) is None                 # every reading was used
         assert a.tokens_per_sec == b.tokens_per_sec
         assert a.ms_per_token == b.ms_per_token
@@ -76,13 +76,13 @@ class TestMeasure:
         cfg = tiny_cfg()
         params = build_hydra(cfg)
         with pytest.raises(UsageError):
-            measure_throughput("hydra", cfg, params, 16, n_repeats=2)
+            measure_throughput(cfg, params, 16, n_repeats=2)
 
     def test_too_long_rejected(self):
         cfg = tiny_cfg()
         params = build_hydra(cfg)
         with pytest.raises(UsageError):
-            measure_throughput("hydra", cfg, params, 512, n_repeats=3)
+            measure_throughput(cfg, params, 512, n_repeats=3)
 
 
 class TestFitScaling:
@@ -158,8 +158,8 @@ class TestPeakMemory:
         cfg = ModelConfig.from_dict({**tiny_cfg().to_dict(), "d": 64, "pkm_dv": 64,
                                      "moe_hidden": 128, "n_heads": 4})
         params = build_hydra(cfg)
-        m1 = measure_throughput("hydra", cfg, params, 128, n_repeats=3).peak_mem_mb
-        m2 = measure_throughput("hydra", cfg, params, 256, n_repeats=3).peak_mem_mb
+        m1 = measure_throughput(cfg, params, 128, n_repeats=3).peak_mem_mb
+        m2 = measure_throughput(cfg, params, 256, n_repeats=3).peak_mem_mb
         assert m1 > 0.5
         assert m2 / m1 >= 1.9
 
@@ -170,6 +170,6 @@ class TestPeakMemory:
                                      "moe_hidden": 256, "n_heads": 4})
         params = build_hydra(cfg)
         param_mb = sum(p.data.nbytes for _, p in params.parameters()) / 2**20
-        peak = measure_throughput("hydra", cfg, params, 1, n_repeats=3).peak_mem_mb
+        peak = measure_throughput(cfg, params, 1, n_repeats=3).peak_mem_mb
         assert param_mb > 3.0
         assert 0 < peak < 0.1 * param_mb

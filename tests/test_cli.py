@@ -94,6 +94,15 @@ class TestTrainEval:
         records = (out / "records.csv").read_text()
         assert "hydra_no_workspace" in records
 
+    def test_transformer_ablation_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run5"
+        rc = run_cli(["train", "logic", "--model", "transformer", "--ablate", "sga",
+                      "--scale", "0.001", "--out", str(out),
+                      "--task-param", "n_train=32", "--task-param", "n_eval=8"])
+        assert rc == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+
     def test_vocab_mismatch_is_input_error(self, tmp_path):
         out = tmp_path / "run4"
         run_cli(["train", "logic", "--scale", "0.001", "--out", str(out),

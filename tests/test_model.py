@@ -331,6 +331,39 @@ class TestTransformerForward:
                 pert = transformer_forward(toks2, cfg, params).data
             np.testing.assert_allclose(pert[:t], base[:t], atol=1e-10)
 
+    def test_takes_hydra_keywords_and_rejects_ablation(self):
+        cfg = tiny_config()
+        params = build_transformer(cfg)
+        toks = np.random.default_rng(16).integers(0, cfg.vocab, size=(2, 9))
+        with no_grad():
+            plain = transformer_forward(toks, cfg, params).data
+            keyed = transformer_forward(toks, cfg, params, train_mode=True, ablate=(), stats={},
+                                        explore_rng=np.random.default_rng(0)).data
+        np.testing.assert_array_equal(plain, keyed)
+        with pytest.raises(UsageError, match="sga"):
+            transformer_forward(toks, cfg, params, ablate={"sga"})
+
+
+class TestModelInterface:
+    @pytest.mark.parametrize("build,name", [(build_hydra, "hydra_forward"),
+                                            (build_transformer, "transformer_forward")])
+    def test_forward_calls_the_module_level_function(self, build, name, monkeypatch):
+        # the benchmark's tracer patches these module attributes
+        from hydra_lab import model
+
+        cfg = tiny_config()
+        params = build(cfg)
+        calls = []
+        original = getattr(model, name)
+        monkeypatch.setattr(model, name, lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        toks = np.random.default_rng(17).integers(0, cfg.vocab, size=6)
+        with no_grad():
+            got = params.forward(toks, cfg, train_mode=True).data
+            want = original(toks, cfg, params, train_mode=True).data
+        assert calls == [1]
+        np.testing.assert_array_equal(got, want)
+        assert model.BUILDERS[params.kind] is build
+
 
 class TestParameterMatch:
     def test_closed_form_count_matches_built_model(self):
@@ -466,8 +499,8 @@ class TestCheckpoint:
         params = build_hydra(cfg)
         p = tmp_path / "model.ckpt"
         save_checkpoint(p, "hydra", cfg, params.parameters())
-        kind, cfg2, params2 = restore_model(p)
-        assert kind == "hydra"
+        cfg2, params2 = restore_model(p)
+        assert params2.kind == "hydra"
         assert cfg2.to_dict() == cfg.to_dict()
         for (n1, t1), (n2, t2) in zip(params.parameters(), params2.parameters()):
             assert n1 == n2
@@ -481,7 +514,7 @@ class TestCheckpoint:
             before = hydra_forward(toks, cfg, params).data
         p = tmp_path / "m.ckpt"
         save_checkpoint(p, "hydra", cfg, params.parameters())
-        _, cfg2, params2 = restore_model(p)
+        cfg2, params2 = restore_model(p)
         with no_grad():
             after = hydra_forward(toks, cfg2, params2).data
         np.testing.assert_array_equal(before, after)
@@ -525,6 +558,36 @@ class TestCheckpoint:
             save_checkpoint(p, "hydra", cfg, named[:3] + [("broken", Broken())] + named[3:])
         assert p.read_bytes() == old
         assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.update(kind="mamba"),
+        lambda m: m.pop("kind"),
+        lambda m: m.update(config=[1, 2]),
+        lambda m: m["config"].update(colour=3),
+        lambda m: m["config"].pop("d"),
+        lambda m: m["config"].pop("vocab"),
+    ], ids=["unknown-kind", "no-kind", "config-not-a-dict", "unknown-key", "missing-key",
+            "missing-required-key"])
+    def test_corrupt_meta_rejected(self, tmp_path, edit):
+        import json
+
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(p, "hydra", tiny_config(), build_hydra(tiny_config()).parameters())
+        blob = p.read_bytes()
+        n = int.from_bytes(blob[12:16], "little")
+        meta = json.loads(blob[16:16 + n])
+        edit(meta)
+        new = json.dumps(meta).encode("utf-8")
+        bad = tmp_path / "edited.ckpt"
+        bad.write_bytes(blob[:12] + len(new).to_bytes(4, "little") + new + blob[16 + n:])
+        with pytest.raises(UsageError, match=bad.name):
+            restore_model(bad)
+
+    def test_unknown_kind_not_saved(self, tmp_path):
+        cfg = tiny_config()
+        with pytest.raises(UsageError, match="kind"):
+            save_checkpoint(tmp_path / "m.ckpt", "mamba", cfg, build_hydra(cfg).parameters())
+        assert list(tmp_path.iterdir()) == []
 
     def test_old_version_rejected(self, tmp_path):
         import struct

@@ -204,7 +204,7 @@ def tiny_run(seed=0, epochs=2, ablate=()):
     evals = [gen_logic_chain(10, 1, 1000 + s) for s in range(8)]
     params = build_hydra(cfg)
     settings = TrainSettings(epochs=epochs, batch_size=8)
-    report = train_model("hydra", cfg, params, train, evals, settings, seed, ablate=ablate)
+    report = train_model(cfg, params, train, evals, settings, seed, ablate=ablate)
     return cfg, params, report
 
 
