@@ -5,12 +5,15 @@ globally selected positions further back. Work is done in query blocks
 so cost and transient memory stay O(L * (w + K) * d) instead of O(L^2).
 The blocked softmax(q kᵀ) v is one tape op per call (``tiled_attention``)
 with a hand-written backward, in the manner of FlashAttention (Dao et
-al. 2022). It keeps each block's probabilities for that backward only
-when the op is recorded, so a forward under ``no_grad`` holds one
-block's scores at a time. Global selection is a hard top-K over a
-learned linear saliency score, redone per query block over the causal
-prefix; the same score biases the logits of the selected columns, so
-the saliency projection keeps receiving gradient through the attention
+al. 2022, arXiv 2205.14135): the 1/sqrt(dh) scale is folded into the
+query block, and each row is normalized after the value product, on the
+[rows, dh] output rather than on the scores. It keeps each block's
+probabilities for that backward only when the op is recorded; a forward
+under ``no_grad`` allocates one score buffer, sized for the largest
+block, and reuses it for every block. Global selection is a hard top-K
+over a learned linear saliency score, redone per query block over the
+causal prefix; the same score biases the logits of the selected columns,
+so the saliency projection keeps receiving gradient through the attention
 weights it induces.
 """
 
@@ -170,9 +173,14 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, sal: Tensor | None, w: int,
 
     q, k, v are [B, H, L, dh]. ``sal`` ([B, L, 1]) is the saliency score
     that selects each tile's globals (``_block_globals``) and biases their
-    logits; None means no globals. Tiles are computed on numpy views, and
-    a tile's probabilities are kept for the backward only when the op is
-    recorded.
+    logits; None means no globals. With rows = min(block_size, L), each
+    tile scales its queries into one [B, H, rows, dh] buffer before the
+    q kᵀ product, and its output is (e v) / l, where e holds the
+    exponentiated scores and l their row sums. A call that is not recorded
+    writes every tile's scores into one buffer sized for the largest tile,
+    B·H·rows·(min(L, w + rows) + G), with G at most K plus the ``explore``
+    positions per row. A recorded call makes each tile its own array and
+    keeps the probabilities e / l for the backward.
     """
     qd, kd, vd = q.data, k.data, v.data
     B, H, L, dh = qd.shape
@@ -184,6 +192,11 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, sal: Tensor | None, w: int,
     scale = 1.0 / np.sqrt(dh)
     bi = np.arange(B)[:, None]
     out = np.empty_like(qd)
+    rows = min(block_size, L)
+    q_buf = np.empty((B, H, rows, dh))
+    if not keep:
+        n_glob = 0 if sal is None else K + (0 if explore is None else np.shape(explore)[-1])
+        s_buf = np.empty(B * H * rows * (min(L, w + rows) + n_glob))
     saved = []
     for t0 in range(0, L, block_size):
         t1 = min(t0 + block_size, L)
@@ -192,15 +205,15 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, sal: Tensor | None, w: int,
         picked = None if sal is None else _block_globals(saliency, ws, K, explore)
         gidx, glob_mask = (None, None) if picked is None else picked
         G = 0 if gidx is None else gidx.shape[1]
-        q_t = qd[:, :, t0:t1]
-        s = np.empty((B, H, t1 - t0, nw + G))
+        shape = (B, H, t1 - t0, nw + G)
+        s = np.empty(shape) if keep else s_buf[:B * H * (t1 - t0) * (nw + G)].reshape(shape)
+        q_t = np.multiply(qd[:, :, t0:t1], scale, out=q_buf[:, :, :t1 - t0])
         np.matmul(q_t, kd[:, :, ws:t1].swapaxes(-1, -2), out=s[..., :nw])
         v_t = vd[:, :, ws:t1]
         if G:
             np.matmul(q_t, kd[bi, :, gidx].transpose(0, 2, 3, 1), out=s[..., nw:])
         if not np.isfinite(s.sum()):
             T._check_finite(s, "tiled_attention")
-        s *= scale
         c0, mask = _window_mask(t0, t1, ws, w)
         s[..., c0:nw] += mask
         if G:
@@ -209,9 +222,12 @@ def tiled_attention(q: Tensor, k: Tensor, v: Tensor, sal: Tensor | None, w: int,
             v_t = np.concatenate([v_t, vd[bi, :, gidx].transpose(0, 2, 1, 3)], axis=-2)
         s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
-        np.matmul(s, v_t, out=out[:, :, t0:t1])
+        l = s.sum(axis=-1, keepdims=True)
+        out_t = out[:, :, t0:t1]
+        np.matmul(s, v_t, out=out_t)
+        out_t /= l
         if keep:
+            s /= l          # the probabilities, for the backward
             saved.append((t0, t1, ws, gidx, s))
 
     def bwd(g):

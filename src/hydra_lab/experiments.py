@@ -13,7 +13,7 @@ chunk come from the previous chunk's summary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -82,8 +82,11 @@ class Protocol:
 
 
 def _apply_overrides(cfg_dict: dict, overrides: dict | None) -> dict:
+    """``cfg_dict`` updated by ``overrides``, whose keys must be
+    ``ModelConfig`` fields: those the protocol sets and those it leaves
+    at their defaults."""
     if overrides:
-        unknown = set(overrides) - set(cfg_dict)
+        unknown = set(overrides) - {f.name for f in fields(ModelConfig)}
         if unknown:
             raise UsageError(f"unknown config overrides: {sorted(unknown)}")
         cfg_dict.update(overrides)
@@ -141,7 +144,7 @@ def efficiency_config(seed: int, overrides=None) -> ModelConfig:
     return ModelConfig.from_dict(_apply_overrides(d, overrides))
 
 
-def run_efficiency(seed=0, scale=1.0, model="both", overrides=None,
+def run_efficiency(seed=0, model="both", overrides=None,
                    lens=(1024, 2048, 4096, 8192, 16384), n_repeats=5,
                    out_dir=None) -> ExperimentResult:
     """Forward throughput/memory scan over sequence lengths."""
@@ -420,9 +423,12 @@ def run_protocol(name: str, seed: int = 0, scale: float = 1.0, model: str = "hyd
 def run_experiment(name: str, seed: int = 0, scale: float = 1.0, model: str = "hydra",
                    ablate=(), overrides=None, out_dir=None, **task_params) -> ExperimentResult:
     """Run one experiment arm by name: a protocol, or the efficiency scan,
-    whose default arm times both models."""
+    whose default arm times both models. The scan trains nothing, so it
+    takes no ablation and no scale."""
     if name == "efficiency":
-        return run_efficiency(seed=seed, scale=scale, model=model if model != "hydra" else "both",
+        if ablate or scale != 1.0:
+            raise UsageError("the efficiency scan takes no ablation and no scale")
+        return run_efficiency(seed=seed, model=model if model != "hydra" else "both",
                               overrides=overrides, out_dir=out_dir, **task_params)
     return run_protocol(name, seed=seed, scale=scale, model=model, ablate=ablate,
                         overrides=overrides, out_dir=out_dir, **task_params)

@@ -32,7 +32,7 @@ from .moe import ExpertPool, chunk_spans, dispatch_fractions, init_expert_pool, 
 from .pkm import PKM_TAPE_OPS, PkmStore, init_pkm_store, pkm_blend, pkm_query_batch
 from .rng import substream
 from .ssm import SSM_TAPE_OPS, SsmLayerParams, init_ssm_params, ssm_scan
-from .tensor import Tensor, UsageError
+from .tensor import ShapeError, Tensor, UsageError
 from .workspace import WorkspaceParams, init_workspace_params, workspace_read, workspace_write
 
 ABLATABLE = ("workspace", "sga", "moe", "pkm")
@@ -513,6 +513,35 @@ def hydra_forward(tokens, config: ModelConfig, params: HydraParams,
     return _logits(h, config, params, squeeze)
 
 
+def dense_ffn(x: Tensor, w_in: Tensor, w_out: Tensor) -> Tensor:
+    """The baseline's feed-forward ``silu(x W_in) W_out``, as one tape op.
+
+    Its value and its three gradients equal those of ``matmul(silu(matmul(
+    x, W_in)), W_out)`` bit for bit. The SiLU runs in place on ``x W_in``,
+    so a call that is not recorded holds one [rows, hidden] array. A
+    recorded call keeps the hidden layer and its sigmoid for the backward:
+    the pre-activation is not needed, as ``hidden`` equals ``a * s``.
+    """
+    inputs = (x, w_in, w_out)
+    keep = T._GRAD_ENABLED and any(t.requires_grad for t in inputs)
+    xd, wi, wo = (t.data for t in inputs)
+    if xd.shape[-1] != wi.shape[0] or wi.shape[1] != wo.shape[0]:
+        raise T._op_error(ShapeError, f"dense_ffn: shapes {xd.shape}, {wi.shape} and {wo.shape} do not chain")
+    x2 = np.ascontiguousarray(xd).reshape(-1, xd.shape[-1])
+    hid = x2 @ wi
+    _, s = T._silu(hid, hid, keep)
+    if not np.isfinite(hid.sum()):
+        T._check_finite(hid, "dense_ffn")
+    out = (hid @ wo).reshape(xd.shape[:-1] + (wo.shape[1],))
+
+    def bwd(g):
+        g2 = np.ascontiguousarray(g).reshape(-1, wo.shape[1])
+        ga = (g2 @ wo.T) * (s + hid * (1.0 - s))   # silu's rule, with x * s = hid
+        return (ga @ wi.T).reshape(xd.shape), x2.T @ ga, hid.T @ g2
+
+    return T._make_output(out, inputs, bwd, "dense_ffn")
+
+
 def transformer_forward(tokens, config: ModelConfig, params: TransformerParams,
                         train_mode: bool = False, ablate=frozenset(),
                         stats: dict | None = None, explore_rng=None) -> Tensor:
@@ -527,7 +556,7 @@ def transformer_forward(tokens, config: ModelConfig, params: TransformerParams,
         # window = max_len and no globals: dense causal attention
         h = T.add(h, sga_forward(u, bp.attn, block_size=config.attn_block))
         u = T.layer_norm(h, bp.ln2_gain, bp.ln2_bias, 1e-5)
-        h = T.add(h, T.matmul(T.silu(T.matmul(u, bp.ffn_in)), bp.ffn_out))
+        h = T.add(h, dense_ffn(u, bp.ffn_in, bp.ffn_out))
     return _logits(h, config, params, squeeze)
 
 

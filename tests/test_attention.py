@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from hydra_lab import tensor as T
 from hydra_lab.attention import (DENSE_TAPE_OPS, SGA_TAPE_OPS, SgaLayerParams, _prefix_topk, init_sga_params,
-                                 sga_cost, sga_forward)
+                                 sga_cost, sga_forward, tiled_attention)
 from hydra_lab.tensor import Tensor, no_grad
 
 
@@ -344,6 +344,52 @@ class TestTiledKernel:
         with pytest.raises(T.UsageError):
             sga_forward(h, params, block_size=0)
         assert T.tape_size() == 0
+
+    # (L, window, K, explore, block_size)
+    CASES = {
+        "dense_window": (32, 32, 0, None, 8),
+        "globals_and_explore": (40, 4, 3, [[0, 5, 9], [2, 2, 30]], 8),
+        "ragged_last_tile": (29, 5, 2, None, 8),
+        "block_over_length": (20, 6, 2, None, 64),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_unrecorded_equals_recorded(self, case):
+        # the unrecorded call reuses one score buffer and never divides the
+        # scores; the recorded one keeps each tile's probabilities
+        L, w, K, explore, block_size = self.CASES[case]
+        rng = np.random.default_rng(36)
+        q, k, v = (rng.normal(size=(2, 3, L, 8)) for _ in range(3))
+        sal = rng.normal(size=(2, L, 1)) if K or explore is not None else None
+        explore = None if explore is None else np.array(explore)
+
+        def call():
+            ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+            return tiled_attention(*ts, None if sal is None else Tensor(sal, requires_grad=True),
+                                   w, K, explore, block_size)
+
+        T.reset_tape()
+        recorded = call()
+        assert T.tape_size() == 1
+        T.reset_tape()
+        with no_grad():
+            unrecorded = call()
+        assert T.tape_size() == 0
+        np.testing.assert_array_equal(unrecorded.data, recorded.data)
+
+    def test_unrecorded_peak_is_one_score_buffer(self):
+        B, H, L, dh, block_size = 1, 4, 1024, 16, 256
+        rng = np.random.default_rng(37)
+        q, k, v = (Tensor(rng.normal(size=(B, H, L, dh))) for _ in range(3))
+        tile_bytes = B * H * block_size * L * 8      # the last tile's scores
+        with no_grad():
+            tracemalloc.start()
+            try:
+                tiled_attention(q, k, v, None, L, 0, None, block_size)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1.5 * tile_bytes, peak / tile_bytes
 
 
 def _backward_bytes(L):

@@ -103,6 +103,14 @@ class TestTrainEval:
         assert "usage error" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("flag", [["--ablate", "sga"], ["--scale", "0.5"]])
+    def test_efficiency_ablation_or_scale_exits_2(self, tmp_path, capsys, flag):
+        out = tmp_path / "run6"
+        rc = run_cli(["train", "efficiency", *flag, "--out", str(out)])
+        assert rc == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_vocab_mismatch_is_input_error(self, tmp_path):
         out = tmp_path / "run4"
         run_cli(["train", "logic", "--scale", "0.001", "--out", str(out),

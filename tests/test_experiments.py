@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hydra_lab.checkpoint import restore_model
-from hydra_lab.experiments import PROTOCOLS, mutual_information_bits, run_experiment
+from hydra_lab.experiments import PROTOCOLS, logic_config, mutual_information_bits, run_experiment
 from hydra_lab.tensor import UsageError, no_grad
 
 #: micro-scale task parameters for every training protocol
@@ -108,6 +108,15 @@ class TestDispatch:
         a = run_experiment("logic", seed=1, scale=0.001, n_train=32, n_eval=8)
         b = run_experiment("logic", seed=2, scale=0.001, n_train=32, n_eval=8)
         assert a.report.rows[0]["loss"] != b.report.rows[0]["loss"]
+
+
+class TestConfigOverrides:
+    def test_field_the_protocol_leaves_at_default(self):
+        assert logic_config(30, 0, {"attn_block": 64}).attn_block == 64
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(UsageError, match="no_such_field"):
+            logic_config(30, 0, {"no_such_field": 1})
 
 
 class TestMutualInformation:

@@ -1,5 +1,7 @@
 """Model assembly: router, tri-path block, full forwards, cost model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from hydra_lab.model import (
     chunk_summarize,
     cost_model,
     count_params,
+    dense_ffn,
     hydra_forward,
     hydra_param_count,
     init_router,
@@ -342,6 +345,79 @@ class TestTransformerForward:
         np.testing.assert_array_equal(plain, keyed)
         with pytest.raises(UsageError, match="sga"):
             transformer_forward(toks, cfg, params, ablate={"sga"})
+
+
+def ffn_chain(x, w_in, w_out):
+    """The baseline FFN as the three ops ``dense_ffn`` replaces."""
+    return T.matmul(T.silu(T.matmul(x, w_in)), w_out)
+
+
+class TestDenseFfn:
+    """The baseline's feed-forward op against the matmul -> silu -> matmul chain."""
+
+    @staticmethod
+    def inputs(x_shape, hidden=24, seed=17):
+        rng = np.random.default_rng(seed)
+        d = x_shape[-1]
+        return (Tensor(rng.normal(size=x_shape), requires_grad=True),
+                Tensor(rng.normal(0.0, d ** -0.5, size=(d, hidden)), requires_grad=True),
+                Tensor(rng.normal(0.0, hidden ** -0.5, size=(hidden, d)), requires_grad=True))
+
+    @pytest.mark.parametrize("x_shape", [(7, 8), (2, 7, 8)])
+    def test_value_and_grads_equal_chain(self, x_shape):
+        weight = np.random.default_rng(18).normal(size=x_shape)
+        results = []
+        for f in (ffn_chain, dense_ffn):
+            ts = self.inputs(x_shape)
+            T.reset_tape()
+            y = f(*ts)
+            backward(T.tsum(T.mul(y, weight)))
+            results.append([y.data] + [t.grad for t in ts])
+        for got, expected in zip(results[1], results[0]):
+            np.testing.assert_array_equal(got, expected)
+        with no_grad():
+            np.testing.assert_array_equal(dense_ffn(*self.inputs(x_shape)).data, results[0][0])
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_grad_check(self, which):
+        ts = list(self.inputs((2, 5, 4), hidden=6, seed=19))
+        weight = Tensor(np.random.default_rng(20).normal(size=(2, 5, 4)))
+
+        def loss(t):
+            args = ts[:which] + [t] + ts[which + 1:]
+            return T.tsum(T.mul(dense_ffn(*args), weight))
+
+        rep = T.grad_check(loss, ts[which], h=1e-5, tol=1e-6)
+        assert rep.passed, rep
+
+    def test_one_tape_op(self):
+        T.reset_tape()
+        dense_ffn(*self.inputs((2, 7, 8)))
+        assert T.tape_size() == 1
+        T.reset_tape()
+
+    def test_unrecorded_peak_under_two_hidden_layers(self):
+        # the chain holds x W_in and its SiLU at once; the op runs the SiLU
+        # in place, so it holds one hidden layer beside a small output
+        ts = self.inputs((1024, 8), hidden=256, seed=21)
+        hidden_bytes = 1024 * 256 * 8
+
+        def peak(f):
+            with no_grad():
+                tracemalloc.start()
+                try:
+                    f(*ts)
+                    return tracemalloc.get_traced_memory()[1] / hidden_bytes
+                finally:
+                    tracemalloc.stop()
+
+        assert peak(ffn_chain) >= 2.0
+        assert peak(dense_ffn) < 1.5
+
+    def test_shape_mismatch_raises(self):
+        x, w_in, w_out = self.inputs((2, 7, 8))
+        with pytest.raises(T.ShapeError):
+            dense_ffn(x, w_out, w_out)
 
 
 class TestModelInterface:

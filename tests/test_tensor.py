@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hydra_lab import moe, pkm, ssm, workspace
+from hydra_lab import model, moe, pkm, ssm, workspace
 from hydra_lab import tensor as T
 from hydra_lab.tensor import (
     NumericError,
@@ -577,14 +577,17 @@ class TestTapeRelease:
 class TestTapeAfterFailure:
     """A failed forward or backward leaves no ops behind on the tape."""
 
-    @pytest.mark.parametrize("fail", ["finite_check"])
+    @pytest.mark.parametrize("fail", ["finite_check", "dense_ffn_hidden"])
     def test_failed_forward_clears_tape(self, fail):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         T.reset_tape()
         h = T.mul(T.add(x, 1.0), 3.0)          # two ops recorded before the failure
         assert T.tape_size() == 2
-        with pytest.raises(NumericError), np.errstate(over="ignore"):
-            T.mul(h, 1e308)                     # overflows to inf in the output
+        with pytest.raises(NumericError), np.errstate(over="ignore", invalid="ignore"):
+            if fail == "finite_check":
+                T.mul(h, 1e308)                 # overflows to inf in the output
+            else:                               # x W_in overflows to inf
+                model.dense_ffn(T.reshape(h, (1, 2)), Tensor(np.full((2, 3), 1e308)), Tensor(np.ones((3, 1))))
         assert T.tape_size() == 0
 
     @pytest.mark.parametrize("fail", ["add_shape", "matmul_shape", "reshape_shape", "concat_shape",
